@@ -12,6 +12,12 @@ Two modes:
 * ``hybrid`` coarse-sleeps until ``deadline - hybrid_spin_window`` and
   spins only the final stretch, trading a bounded amount of precision for
   a mostly idle core (and, in-process, for letting peer threads run).
+
+Both waits share the private ``_wait``, which returns the wake-up clock
+reading as an int. :func:`wait_until` wraps that reading in a
+:class:`SlackReport`. :func:`pace_send` builds no report: per packet it
+reads the clock once, emits at once when the deadline is reached, and
+otherwise calls ``_wait``.
 """
 
 from __future__ import annotations
@@ -74,7 +80,12 @@ def wait_until(deadline: int, cfg: PacerConfig = PacerConfig()) -> SlackReport:
     now = time.monotonic_ns()
     if now >= deadline:
         return SlackReport(wake_ns=now, slack_ns=0, late=now > deadline)
+    wake = _wait(deadline, cfg)
+    return SlackReport(wake_ns=wake, slack_ns=wake - deadline, late=False)
 
+
+def _wait(deadline: int, cfg: PacerConfig) -> int:
+    """Wait for a deadline not yet reached; return the first reading >= it."""
     if cfg.mode == HYBRID:
         # Coarse sleep toward the spin window; leave room for timer slack
         # so an oversleep still lands before the deadline.
@@ -87,7 +98,7 @@ def wait_until(deadline: int, cfg: PacerConfig = PacerConfig()) -> SlackReport:
     t = time.monotonic_ns()
     while t < deadline:
         t = time.monotonic_ns()
-    return SlackReport(wake_ns=t, slack_ns=t - deadline, late=False)
+    return t
 
 
 def pace_send(
@@ -103,11 +114,16 @@ def pace_send(
     timestamps simply reflect the slower reality. An exception raised by
     ``emit`` aborts the train and propagates to the caller, which is
     responsible for marking the train invalid.
+
+    A deadline already reached when its packet's turn comes (a catch-up
+    after a slow emit or a host pause) is emitted without waiting.
     """
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule instants must be strictly increasing")
+    clock = time.monotonic_ns
     timestamps: list[int] = []
     for i, deadline in enumerate(schedule):
-        wait_until(deadline, cfg)
+        if clock() < deadline:
+            _wait(deadline, cfg)
         timestamps.append(emit(i))
     return timestamps

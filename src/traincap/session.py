@@ -52,6 +52,7 @@ _NS_PER_S = 1_000_000_000
 
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
+_MAX_LINGER_NS = 2_000_000  # the sender's wait past a train's last packet
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class SessionParams:
     geometry: FrameGeometry = field(default_factory=FrameGeometry)
     inter_train_gap_ns: int = DEFAULT_INTER_TRAIN_GAP_NS
     idle_timeout_ns: int = DEFAULT_IDLE_TIMEOUT_NS
-    repeat_count: int = 1
     pacer: PacerConfig = field(default_factory=PacerConfig)
     start_lead_ns: int = 4_000_000  # headroom between scheduling and first send
 
@@ -83,8 +83,15 @@ class SessionParams:
         )
 
     def expected_duration_ns(self) -> int:
+        """Planned sender time: per train, the start lead, the send span,
+        the linger after the last packet and the inter-train gap."""
         gap = build_schedule(self.train_spec(0), 0).gap
-        per_train = (self.n_packets - 1) * gap + self.inter_train_gap_ns
+        per_train = (
+            self.start_lead_ns
+            + (self.n_packets - 1) * gap
+            + min(gap, _MAX_LINGER_NS)
+            + self.inter_train_gap_ns
+        )
         return self.n_trains * per_train
 
 
@@ -177,8 +184,9 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     """Pace and send the configured trains; return sender-side records.
 
     Packets are fully pre-built per train except the timestamp field,
-    which is patched immediately before each send. A transport failure
-    marks the current and all remaining trains failed.
+    which the endpoint patches with the same clock reading it returns as
+    the packet's send stamp. A transport failure marks the current and
+    all remaining trains failed.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -204,9 +212,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
         ]
 
         def emit(i: int) -> int:
-            buf = bufs[i]
-            wire.patch_send_ts(buf, wire.ns_to_ntp(time.monotonic_ns()))
-            return endpoint.send(buf)
+            return endpoint.send(bufs[i], stamp_probe=True)
 
         schedule = build_schedule(spec, time.monotonic_ns() + params.start_lead_ns)
         # Two-stage approach to the first deadline: a coarse sleep that
@@ -236,7 +242,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
         # Linger one gap past the last packet so a co-resident receiver
         # thread sees the train's tail under the same scheduling pressure
         # as its body (keeps first/last receive lag symmetric).
-        wait_until(schedule.send_instants[-1] + min(schedule.gap, 2_000_000), params.pacer)
+        wait_until(schedule.send_instants[-1] + min(schedule.gap, _MAX_LINGER_NS), params.pacer)
         if train_id + 1 < params.n_trains:
             time.sleep(params.inter_train_gap_ns / 1e9)
     return records
@@ -354,15 +360,10 @@ def run_reflector(
     def reflect() -> None:
         if not asm.open():
             return
-        egress: list[int] = []
-        for payload, source in zip(payloads, sources):
-            buf = bytearray(payload)
-            wire.patch_send_ts(buf, wire.ns_to_ntp(time.monotonic_ns()))
-            if source is not None:
-                ts = endpoint.send(buf, remote=source)
-            else:
-                ts = endpoint.send(buf)
-            egress.append(ts)
+        egress = [
+            endpoint.send(bytearray(payload), source, stamp_probe=True)
+            for payload, source in zip(payloads, sources)
+        ]
         log.append(
             ReflectionRecord(
                 train_id=asm.train_id,

@@ -15,6 +15,13 @@ delivered the datagram (for UDP, the clock just after ``recvfrom``
 returns). Send timestamps on one endpoint are strictly increasing; a
 same-ns collision is bumped by 1 ns.
 
+In-band stamps: ``send(buf, stamp_probe=True)`` also writes that same
+reading into the probe's ``send_ts`` field of ``buf`` (a writable,
+already-encoded probe) before handing it off, so the stamp a probe
+carries and the stamp ``send`` returns are one clock reading. This is
+the whole per-packet send path of the sender and reflector roles: one
+clock read, one field patch, one ``sendto``.
+
 Ownership: an endpoint may be used by one sending thread and one
 receiving thread concurrently, and not shared further.
 """
@@ -90,10 +97,20 @@ class LoopbackEndpoint:
         self._peer: Optional[LoopbackEndpoint] = None
         self._stamper = _SendStamper()
 
-    def send(self, payload: bytes | bytearray) -> int:
+    def send(
+        self,
+        payload: bytes | bytearray,
+        remote: tuple[str, int] | None = None,
+        *,
+        stamp_probe: bool = False,
+    ) -> int:
         if self._peer is None:
             raise TransportError("loopback endpoint has no peer")
+        if remote is not None:
+            raise TransportError("loopback endpoint sends only to its peer")
         ts = self._stamper.stamp()
+        if stamp_probe:
+            wire.patch_send_ns(payload, ts)
         ready = ts + self._peer._delay_ns
         with self._peer._cond:
             self._peer._queue.append((ready, bytes(payload)))
@@ -150,11 +167,19 @@ class UdpEndpoint:
     def local_address(self) -> tuple[str, int]:
         return self._sock.getsockname()
 
-    def send(self, payload: bytes | bytearray, remote: tuple[str, int] | None = None) -> int:
+    def send(
+        self,
+        payload: bytes | bytearray,
+        remote: tuple[str, int] | None = None,
+        *,
+        stamp_probe: bool = False,
+    ) -> int:
         dest = remote or self._remote
         if dest is None:
             raise TransportError("no remote endpoint configured")
         ts = self._stamper.stamp()
+        if stamp_probe:
+            wire.patch_send_ns(payload, ts)
         try:
             self._sock.sendto(payload, dest)
         except OSError as exc:

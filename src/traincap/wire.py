@@ -37,6 +37,12 @@ _ETH_IP_UDP_HEADERS = 14 + 20 + 8
 _NS_PER_S = 1_000_000_000
 _MAX_NS = (1 << 32) * _NS_PER_S  # seconds field is 32-bit
 
+# Precompiled layouts for the per-packet paths: the send_ts field at
+# offset 4, and (seq, train_id, train_len) skipping send_ts and
+# error_estimate.
+_SEND_TS = struct.Struct("!II")
+_TRAIN_FIELDS = struct.Struct("!I10xIH")
+
 
 @dataclass(frozen=True)
 class NtpTimestamp:
@@ -151,7 +157,24 @@ def encode_probe_into(p: ProbePacket, buf: bytearray, offset: int = 0) -> None:
 
 def patch_send_ts(buf: bytearray, ts: NtpTimestamp, offset: int = 0) -> None:
     """Overwrite just the timestamp field of an already-encoded probe."""
-    struct.pack_into("!II", buf, offset + 4, ts.seconds, ts.fraction)
+    _SEND_TS.pack_into(buf, offset + 4, ts.seconds, ts.fraction)
+
+
+def patch_send_ns(buf: bytearray, t: int, offset: int = 0) -> None:
+    """``patch_send_ts(buf, ns_to_ntp(t), offset)`` without building objects.
+
+    Same bytes, and the same ``ValueError`` for an out-of-range ``t``.
+    It repeats :func:`ns_to_ntp`'s arithmetic inline because it runs once
+    per sent packet, where a helper call would cost as much as the work.
+    """
+    if t < 0:
+        raise ValueError("pre-epoch timestamp")
+    if t >= _MAX_NS:
+        raise ValueError("timestamp beyond 32-bit seconds range")
+    seconds, rem = divmod(t, _NS_PER_S)
+    _SEND_TS.pack_into(
+        buf, offset + 4, seconds, (rem * (1 << 32) + _NS_PER_S // 2) // _NS_PER_S
+    )
 
 
 def decode_probe(data: bytes) -> ProbePacket:
@@ -176,7 +199,5 @@ def peek_train_fields(data: bytes) -> tuple[int, int, int]:
     Used on hot receive paths where only train bookkeeping is needed.
     """
     if len(data) < HEADER_SIZE:
-        raise ValueError("truncated probe")
-    seq = struct.unpack_from("!I", data, 0)[0]
-    train_id, train_len = struct.unpack_from("!IH", data, 14)
-    return seq, train_id, train_len
+        raise ValueError("truncated probe")  # struct.error is not a ValueError
+    return _TRAIN_FIELDS.unpack_from(data)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from oracles import stats_oracle
+from traincap import pacing, wire
 from traincap.pacing import PURE_SPIN, PacerConfig
 from traincap.session import (
     SessionParams,
@@ -20,9 +21,22 @@ from traincap.session import (
     run_reflector,
     run_sender,
 )
-from traincap.train import TrainRecord, TrainSpec, TrainStatus
-from traincap.transport import TransportError, loopback_pair
-from traincap.wire import FrameGeometry, NtpTimestamp, ProbePacket, encode_probe
+from traincap.train import TrainRecord, TrainSpec, TrainStatus, build_schedule
+from traincap.transport import (
+    OS_DATAGRAM,
+    BackendDescriptor,
+    TransportError,
+    UdpEndpoint,
+    loopback_pair,
+)
+from traincap.wire import (
+    FrameGeometry,
+    NtpTimestamp,
+    ProbePacket,
+    decode_probe,
+    encode_probe,
+    ntp_to_ns,
+)
 import random
 
 
@@ -37,6 +51,29 @@ def quick_params(**kw):
     )
     defaults.update(kw)
     return SessionParams(**defaults)
+
+
+class TestSessionParams:
+    def test_expected_duration_covers_sender_plan(self):
+        # run_sender waits start_lead before each train, spans (N-1) gaps,
+        # lingers up to min(gap, 2 ms), then sleeps the inter-train gap.
+        cases = [
+            dict(n_trains=500, n_packets=50, desired_rate=10e9, inter_train_gap_ns=500_000),
+            dict(n_trains=10, n_packets=50, desired_rate=1e8, inter_train_gap_ns=10_000_000),
+            dict(n_trains=3, n_packets=2, desired_rate=1e6, inter_train_gap_ns=1),
+            dict(n_trains=1, n_packets=1000, desired_rate=1e9, inter_train_gap_ns=1,
+                 start_lead_ns=0),
+        ]
+        for kw in cases:
+            params = SessionParams(**kw)
+            gap = build_schedule(params.train_spec(0), 0).gap
+            plan = params.n_trains * (
+                params.start_lead_ns
+                + (params.n_packets - 1) * gap
+                + params.inter_train_gap_ns
+            )
+            linger = params.n_trains * min(gap, 2_000_000)
+            assert params.expected_duration_ns() >= plan + linger
 
 
 class TestAggregateStats:
@@ -144,7 +181,7 @@ class TestSenderFailure:
             self.fail_after = fail_after
             self.count = 0
 
-        def send(self, payload):
+        def send(self, payload, remote=None, *, stamp_probe=False):
             self.count += 1
             if self.count > self.fail_after:
                 raise TransportError("backend rejected datagram")
@@ -159,6 +196,100 @@ class TestSenderFailure:
             TrainStatus.FAILED,
             TrainStatus.FAILED,
         ]
+
+
+class TestInBandStamps:
+    """Every sent and reflected probe carries its recorded stamp in send_ts."""
+
+    @staticmethod
+    def _udp_pair():
+        rx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=1472, local=("127.0.0.1", 0))
+        )
+        tx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=1472, remote=rx.local_address)
+        )
+        return tx, rx
+
+    @staticmethod
+    def _drain(ep, n):
+        probes = []
+        for _ in range(n):
+            dg = ep.recv(time.monotonic_ns() + 1_000_000_000)
+            assert dg is not None
+            probes.append(decode_probe(dg.payload))
+        return probes
+
+    def _check_sender(self, tx, rx):
+        params = quick_params(n_trains=2, n_packets=20, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000)
+        records = run_sender(params, tx)
+        probes = self._drain(rx, params.n_trains * params.n_packets)
+        for rec in records:
+            assert rec.status is TrainStatus.COMPLETE
+            got = [p for p in probes if p.train_id == rec.train_id]
+            assert [p.seq for p in got] == list(range(params.n_packets))
+            for p, ts in zip(got, rec.send_ts):
+                assert abs(ntp_to_ns(p.send_ts) - ts) <= 1
+
+    def _check_reflector(self, tx, rx):
+        params = quick_params(n_trains=1, n_packets=20)
+        for seq in range(params.n_packets):
+            tx.send(encode_probe(ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0),
+                                             train_id=0, train_len=params.n_packets), 1472))
+        (entry,) = run_reflector(params, rx, overall_timeout_ns=2_000_000_000)
+        assert not entry.partial
+        probes = self._drain(tx, params.n_packets)
+        assert [p.seq for p in probes] == list(range(params.n_packets))
+        for p, ts in zip(probes, entry.egress_ts):
+            assert abs(ntp_to_ns(p.send_ts) - ts) <= 1
+
+    def test_sender_loopback(self):
+        self._check_sender(*loopback_pair(1472))
+
+    def test_sender_udp(self):
+        tx, rx = self._udp_pair()
+        try:
+            self._check_sender(tx, rx)
+        finally:
+            tx.close()
+            rx.close()
+
+    def test_reflector_loopback(self):
+        self._check_reflector(*loopback_pair(1472))
+
+    def test_reflector_udp(self):
+        tx, rx = self._udp_pair()
+        try:
+            self._check_reflector(tx, rx)
+        finally:
+            tx.close()
+            rx.close()
+
+
+class TestSendPathBuildsNoObjects:
+    def test_counts_do_not_grow_with_train_length(self, monkeypatch):
+        counts = {"ns_to_ntp": 0, "SlackReport": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(wire, "ns_to_ntp", counting("ns_to_ntp", wire.ns_to_ntp))
+        monkeypatch.setattr(pacing, "SlackReport", counting("SlackReport", pacing.SlackReport))
+        seen = []
+        for n_packets in (2, 40):
+            counts.update(dict.fromkeys(counts, 0))
+            a, _ = loopback_pair(1472)
+            params = quick_params(n_trains=2, n_packets=n_packets, desired_rate=1e9,
+                                  inter_train_gap_ns=1_000_000)
+            assert all(r.status is TrainStatus.COMPLETE for r in run_sender(params, a))
+            seen.append(dict(counts))
+        assert seen[0]["SlackReport"] > 0  # the counter sees the per-train waits
+        assert seen[0] == seen[1]
 
 
 class TestReceiverEdgeCases:

@@ -16,6 +16,7 @@ from traincap.transport import (
     loopback_pair,
     open_endpoint,
 )
+from traincap.wire import NtpTimestamp, ProbePacket, decode_probe, encode_probe, ntp_to_ns
 
 
 def now():
@@ -91,6 +92,12 @@ class TestLoopback:
         dg = b.recv(now() + 100_000_000)
         assert dg is not None
         assert dg.ts - send_ts >= 5_000_000
+
+    def test_send_only_to_peer(self):
+        a, b = loopback_pair(32)
+        with pytest.raises(TransportError, match="only to its peer"):
+            a.send(bytes(32), ("127.0.0.1", 9))
+        assert b.recv(now() + 1_000_000) is None
 
     def test_open_endpoint_loopback(self):
         ep = open_endpoint(BackendDescriptor(kind=LOOPBACK, payload_size=64))
@@ -173,6 +180,25 @@ class TestSwapEquivalence:
         assert out == list(range(20))
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
 
+    @staticmethod
+    def _exercise_stamped(tx, rx):
+        # stamp_probe writes the returned stamp itself into send_ts and
+        # leaves every other byte as the caller encoded it.
+        for seq in range(20):
+            probe = ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0), error_estimate=7,
+                                train_id=3, train_len=20)
+            buf = bytearray(encode_probe(probe, 64))
+            buf[-1] = 0x5A
+            ts = tx.send(buf, stamp_probe=True)
+            dg = rx.recv(now() + 1_000_000_000)
+            assert dg is not None
+            assert dg.payload == bytes(buf)
+            got = decode_probe(dg.payload)
+            assert got.seq == seq and got.error_estimate == 7
+            assert got.train_id == 3 and got.train_len == 20
+            assert dg.payload[-1] == 0x5A
+            assert abs(ntp_to_ns(got.send_ts) - ts) <= 1
+
     def test_loopback(self):
         a, b = loopback_pair(64)
         self._exercise(a, b)
@@ -186,6 +212,20 @@ class TestSwapEquivalence:
         )
         try:
             self._exercise(tx, rx)
+        finally:
+            tx.close()
+            rx.close()
+
+    def test_stamp_probe_carries_returned_stamp(self):
+        self._exercise_stamped(*loopback_pair(64))
+        rx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=64, local=("127.0.0.1", 0))
+        )
+        tx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=64, remote=rx.local_address)
+        )
+        try:
+            self._exercise_stamped(tx, rx)
         finally:
             tx.close()
             rx.close()

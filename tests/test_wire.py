@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traincap.wire import (
@@ -18,6 +18,8 @@ from traincap.wire import (
     encode_probe,
     ns_to_ntp,
     ntp_to_ns,
+    patch_send_ns,
+    patch_send_ts,
     peek_train_fields,
     require_payload_size,
 )
@@ -66,6 +68,31 @@ class TestNtpConversion:
     @given(st.integers(min_value=0, max_value=_MAX_NS))
     def test_round_trip_within_1ns(self, ns):
         assert abs(ntp_to_ns(ns_to_ntp(ns)) - ns) <= 1
+
+
+class TestPatchSendNs:
+    @given(st.integers(min_value=0, max_value=_MAX_NS), st.integers(min_value=0, max_value=64))
+    @example(0, 0)
+    @example(_MAX_NS, 0)
+    @example(_MAX_NS, 64)
+    def test_same_bytes_as_object_path(self, ns, offset):
+        fast = bytearray(b"\xa5" * (offset + HEADER_SIZE + 4))
+        slow = bytearray(fast)
+        patch_send_ns(fast, ns, offset)
+        patch_send_ts(slow, ns_to_ntp(ns), offset)
+        assert fast == slow
+
+    @given(st.one_of(st.integers(max_value=-1), st.integers(min_value=_MAX_NS + 1)))
+    @example(-1)
+    @example(_MAX_NS + 1)
+    def test_out_of_range_rejected_like_ns_to_ntp(self, ns):
+        buf = bytearray(HEADER_SIZE)
+        with pytest.raises(ValueError) as fast:
+            patch_send_ns(buf, ns)
+        with pytest.raises(ValueError) as slow:
+            ns_to_ntp(ns)
+        assert str(fast.value) == str(slow.value)
+        assert buf == bytearray(HEADER_SIZE)
 
 
 class TestProbeLayout:
@@ -160,6 +187,11 @@ class TestRoundTrip:
     def test_peek_matches_decode(self, p):
         data = encode_probe(p, HEADER_SIZE)
         assert peek_train_fields(data) == (p.seq, p.train_id, p.train_len)
+
+    def test_peek_truncated_is_value_error(self):
+        for n in (0, 15, HEADER_SIZE - 1):
+            with pytest.raises(ValueError, match="truncated probe"):
+                peek_train_fields(bytes(n))
 
 
 class TestFrameGeometry:
