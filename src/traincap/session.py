@@ -248,30 +248,59 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     return records
 
 
-class _TrainAssembler:
-    """Groups arriving probes into trains by in-band train_id."""
+def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int | None):
+    """Group arriving probes into trains by in-band train_id.
 
-    def __init__(self) -> None:
-        self.train_id: int | None = None
-        self.train_len = 0
-        self.arrivals: list[tuple[int, int]] = []
-        self.last_arrival_ns: int | None = None
-
-    def start(self, train_id: int, train_len: int) -> None:
-        self.train_id = train_id
-        self.train_len = train_len
-        self.arrivals = []
-
-    def add(self, seq: int, ts: int) -> None:
-        self.arrivals.append((seq, ts))
-        self.last_arrival_ns = ts
-
-    @property
-    def complete(self) -> bool:
-        return len(self.arrivals) >= self.train_len
-
-    def open(self) -> bool:
-        return self.train_id is not None
+    Yields ``(train_id, train_len, arrivals, datagrams)`` per train:
+    ``arrivals`` holds ``(seq, ts)`` and ``datagrams`` the ``(payload, ts,
+    source)`` tuples ``recv_from`` returned, in arrival order. A train
+    ends with its ``train_len``-th datagram, the first datagram of
+    another train, an idle timeout after its last datagram, or the
+    overall deadline. Non-probe datagrams are ignored. The clock is read
+    only when ``recv_from`` returns None; a datagram's own receive stamp
+    stands for now otherwise, so a flood of datagrams cannot outlast the
+    overall deadline. The overall timeout defaults to three times the
+    sender's planned duration plus 1 s.
+    """
+    if overall_timeout_ns is None:
+        overall_timeout_ns = 3 * params.expected_duration_ns() + _NS_PER_S
+    recv_from = endpoint.recv_from
+    peek = wire.peek_train_fields
+    idle_timeout = params.idle_timeout_ns
+    now = time.monotonic_ns()
+    overall_deadline = deadline = now + overall_timeout_ns
+    train_id = train_len = 0
+    arrivals: list[tuple[int, int]] = []
+    datagrams: list[tuple] = []
+    while now < overall_deadline:
+        got = recv_from(deadline)
+        if got is None:
+            if arrivals:
+                yield train_id, train_len, arrivals, datagrams
+                arrivals, datagrams = [], []
+                deadline = overall_deadline
+            now = time.monotonic_ns()
+            continue
+        now = got[1]
+        try:
+            seq, got_id, got_len = peek(got[0])
+        except ValueError:
+            continue
+        if arrivals and got_id != train_id:
+            yield train_id, train_len, arrivals, datagrams
+            arrivals, datagrams = [], []
+        if not arrivals:
+            train_id, train_len = got_id, got_len
+        arrivals.append((seq, now))
+        datagrams.append(got)
+        if len(arrivals) >= train_len:
+            yield train_id, train_len, arrivals, datagrams
+            arrivals, datagrams = [], []
+            deadline = overall_deadline
+        else:
+            deadline = min(overall_deadline, now + idle_timeout)
+    if arrivals:
+        yield train_id, train_len, arrivals, datagrams
 
 
 def run_receiver(
@@ -283,55 +312,23 @@ def run_receiver(
 
     Each train is stored in full (all ``train_len`` sequence numbers, or
     an idle timeout, or the next train's first packet) before any rate is
-    computed. Non-probe datagrams are ignored.
+    computed. Non-probe datagrams are ignored, and so are trains that
+    announce fewer than 2 packets.
     """
-    if overall_timeout_ns is None:
-        overall_timeout_ns = 3 * params.expected_duration_ns() + _NS_PER_S
-    overall_deadline = time.monotonic_ns() + overall_timeout_ns
-
     records: list[TrainRecord] = []
-    asm = _TrainAssembler()
-
-    def flush() -> None:
-        if not asm.open() or asm.train_len < 2:
-            asm.train_id = None
-            return
+    trains = _trains(params, endpoint, overall_timeout_ns)
+    for train_id, train_len, arrivals, _ in trains:
+        if train_len < 2:
+            continue
         spec = TrainSpec(
-            n_packets=asm.train_len,
+            n_packets=train_len,
             geometry=params.geometry,
             desired_rate=params.desired_rate,
-            train_id=asm.train_id,
+            train_id=train_id,
         )
-        records.append(validate_train(asm.arrivals, spec))
-        asm.train_id = None
-
-    while len(records) < params.n_trains:
-        now = time.monotonic_ns()
-        if now >= overall_deadline:
+        records.append(validate_train(arrivals, spec))
+        if len(records) >= params.n_trains:
             break
-        deadline = overall_deadline
-        if asm.open():
-            deadline = min(deadline, asm.last_arrival_ns + params.idle_timeout_ns)
-        dg = endpoint.recv(deadline)
-        if dg is None:
-            if asm.open():
-                flush()
-                continue
-            if time.monotonic_ns() >= overall_deadline:
-                break
-            continue
-        try:
-            seq, train_id, train_len = wire.peek_train_fields(dg.payload)
-        except ValueError:
-            continue
-        if asm.open() and train_id != asm.train_id:
-            flush()
-        if not asm.open():
-            asm.start(train_id, train_len)
-        asm.add(seq, dg.ts)
-        if asm.complete:
-            flush()
-    flush()
     return records, apc_report(records)
 
 
@@ -345,71 +342,26 @@ def run_reflector(
     The first reflected packet of a train leaves strictly after its last
     buffered packet arrived, so reflection work never perturbs inbound
     timestamps. A train stalled for ``idle_timeout_ns`` (or interrupted
-    by a new train_id) is reflected as-is and flagged partial.
+    by a new train_id) is reflected as-is and flagged partial. Each
+    packet goes back to its source in the buffer it arrived in, with its
+    ``send_ts`` patched by the endpoint.
     """
-    if overall_timeout_ns is None:
-        overall_timeout_ns = 3 * params.expected_duration_ns() + _NS_PER_S
-    overall_deadline = time.monotonic_ns() + overall_timeout_ns
-
+    send = endpoint.send
     log: list[ReflectionRecord] = []
-    asm = _TrainAssembler()
-    payloads: list[bytes] = []
-    sources: list[tuple[str, int] | None] = []
-    recv_from = getattr(endpoint, "recv_from", None)
-
-    def reflect() -> None:
-        if not asm.open():
-            return
-        egress = [
-            endpoint.send(bytearray(payload), source, stamp_probe=True)
-            for payload, source in zip(payloads, sources)
-        ]
+    trains = _trains(params, endpoint, overall_timeout_ns)
+    for train_id, train_len, arrivals, datagrams in trains:
+        egress = [send(payload, source, stamp_probe=True) for payload, _, source in datagrams]
         log.append(
             ReflectionRecord(
-                train_id=asm.train_id,
-                n_expected=asm.train_len,
-                ingress_ts=[ts for _, ts in asm.arrivals],
+                train_id=train_id,
+                n_expected=train_len,
+                ingress_ts=[ts for _, ts in arrivals],
                 egress_ts=egress,
-                partial=len(asm.arrivals) < asm.train_len,
+                partial=len(arrivals) < train_len,
             )
         )
-        asm.train_id = None
-        payloads.clear()
-        sources.clear()
-
-    while len(log) < params.n_trains:
-        now = time.monotonic_ns()
-        if now >= overall_deadline:
+        if len(log) >= params.n_trains:
             break
-        deadline = overall_deadline
-        if asm.open():
-            deadline = min(deadline, asm.last_arrival_ns + params.idle_timeout_ns)
-        if recv_from is not None:
-            got = recv_from(deadline)
-            dg, source = got if got is not None else (None, None)
-        else:
-            dg, source = endpoint.recv(deadline), None
-        if dg is None:
-            if asm.open():
-                reflect()
-                continue
-            if time.monotonic_ns() >= overall_deadline:
-                break
-            continue
-        try:
-            seq, train_id, train_len = wire.peek_train_fields(dg.payload)
-        except ValueError:
-            continue
-        if asm.open() and train_id != asm.train_id:
-            reflect()
-        if not asm.open():
-            asm.start(train_id, train_len)
-        asm.add(seq, dg.ts)
-        payloads.append(dg.payload)
-        sources.append(source)
-        if asm.complete:
-            reflect()
-    reflect()
     return log
 
 

@@ -10,10 +10,9 @@ Two real backends share one endpoint contract:
   transport; kernel-bypass style paths are modeled in :mod:`.simnet`.
 
 Timestamps: ``send`` reads the monotonic clock immediately before handing
-the payload to the backend; ``recv`` stamps the instant the backend
-delivered the datagram (for UDP, the clock just after ``recvfrom``
-returns). Send timestamps on one endpoint are strictly increasing; a
-same-ns collision is bumped by 1 ns.
+the payload to the backend; a receive stamps the instant the backend
+delivered the datagram. Send timestamps on one endpoint are strictly
+increasing; a same-ns collision is bumped by 1 ns.
 
 In-band stamps: ``send(buf, stamp_probe=True)`` also writes that same
 reading into the probe's ``send_ts`` field of ``buf`` (a writable,
@@ -21,6 +20,18 @@ already-encoded probe) before handing it off, so the stamp a probe
 carries and the stamp ``send`` returns are one clock reading. This is
 the whole per-packet send path of the sender and reflector roles: one
 clock read, one field patch, one ``sendto``.
+
+Receiving: ``recv_from(deadline)`` returns a plain ``(payload, ts,
+source)`` tuple, or None once the deadline has passed with nothing to
+deliver. ``payload`` is a writable ``bytearray`` that the caller owns:
+the datagram's bytes copied once, out of UDP's one reusable receive
+buffer (or, on loopback, the copy ``send`` queued), so a caller may keep
+it across later receives and patch it in place. ``ts`` is one clock
+reading taken just after ``recvfrom_into`` returns, before the copy (on
+loopback, the delivery instant). ``source`` is the sender's address, or
+None on loopback. This is the whole per-datagram receive path of the
+receiver and reflector roles: one ``recvfrom_into``, one clock read, one
+copy. ``recv(deadline)`` wraps it in a :class:`TimestampedDatagram`.
 
 Ownership: an endpoint may be used by one sending thread and one
 receiving thread concurrently, and not shared further.
@@ -41,8 +52,6 @@ from . import wire
 DEFAULT_PORT = 8620
 
 OS_DATAGRAM = "os-datagram"
-LOOPBACK = "loopback"
-SIMULATED = "simulated"
 
 _RECV_BUFFER_TRAINS = 4  # kernel buffer sized for a few full trains
 
@@ -59,10 +68,9 @@ class BackendDescriptor:
     payload_size: int
     local: tuple[str, int] | None = None
     remote: tuple[str, int] | None = None
-    loopback_delay_ns: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in (OS_DATAGRAM, LOOPBACK, SIMULATED):
+        if self.kind != OS_DATAGRAM:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         wire.require_payload_size(self.payload_size)
 
@@ -71,6 +79,10 @@ class BackendDescriptor:
 class TimestampedDatagram:
     payload: bytes
     ts: int  # monotonic ns, read just after delivery
+
+
+def _datagram(got: tuple[bytearray, int, object] | None) -> TimestampedDatagram | None:
+    return None if got is None else TimestampedDatagram(bytes(got[0]), got[1])
 
 
 class _SendStamper:
@@ -92,7 +104,7 @@ class LoopbackEndpoint:
 
     def __init__(self, delay_ns: int = 0) -> None:
         self._delay_ns = delay_ns
-        self._queue: collections.deque[tuple[int, bytes]] = collections.deque()
+        self._queue: collections.deque[tuple[int, bytearray]] = collections.deque()
         self._cond = threading.Condition()
         self._peer: Optional[LoopbackEndpoint] = None
         self._stamper = _SendStamper()
@@ -113,11 +125,14 @@ class LoopbackEndpoint:
             wire.patch_send_ns(payload, ts)
         ready = ts + self._peer._delay_ns
         with self._peer._cond:
-            self._peer._queue.append((ready, bytes(payload)))
+            self._peer._queue.append((ready, bytearray(payload)))
             self._peer._cond.notify()
         return ts
 
     def recv(self, deadline: int) -> TimestampedDatagram | None:
+        return _datagram(self.recv_from(deadline))
+
+    def recv_from(self, deadline: int) -> tuple[bytearray, int, None] | None:
         # The receive timestamp is the deterministic delivery instant
         # (send stamp + configured delay), not the dequeue time: the
         # in-memory medium exists to give tests a noise-free path, so
@@ -127,7 +142,7 @@ class LoopbackEndpoint:
                 now = time.monotonic_ns()
                 if self._queue and self._queue[0][0] <= now:
                     ready, payload = self._queue.popleft()
-                    return TimestampedDatagram(payload, ready)
+                    return payload, ready, None
                 if now >= deadline:
                     return None
                 wake = deadline if not self._queue else min(deadline, self._queue[0][0])
@@ -187,22 +202,22 @@ class UdpEndpoint:
         return ts
 
     def recv(self, deadline: int) -> TimestampedDatagram | None:
-        dg = self.recv_from(deadline)
-        return dg[0] if dg is not None else None
+        return _datagram(self.recv_from(deadline))
 
-    def recv_from(self, deadline: int) -> tuple[TimestampedDatagram, tuple[str, int]] | None:
-        """recv variant that also reports the source address (reflector)."""
+    def recv_from(self, deadline: int) -> tuple[bytearray, int, tuple[str, int]] | None:
+        """The next datagram as ``(payload, ts, source)``; see the module docstring."""
+        sock, buf = self._sock, self._recv_buf
         while True:
             try:
-                n, addr = self._sock.recvfrom_into(self._recv_buf)
+                n, addr = sock.recvfrom_into(buf)
             except BlockingIOError:
                 remaining = deadline - time.monotonic_ns()
                 if remaining <= 0:
                     return None
-                select.select([self._sock], [], [], remaining / 1e9)
+                select.select([sock], [], [], remaining / 1e9)
                 continue
             ts = time.monotonic_ns()
-            return TimestampedDatagram(bytes(self._recv_buf[:n]), ts), addr
+            return buf[:n], ts, addr
 
     def close(self) -> None:
         self._sock.close()
@@ -223,17 +238,10 @@ def loopback_pair(
     return a, b
 
 
-def open_endpoint(descriptor: BackendDescriptor) -> Endpoint:
-    """Open the endpoint a descriptor names.
+def open_endpoint(descriptor: BackendDescriptor) -> UdpEndpoint:
+    """Open the UDP endpoint a descriptor names.
 
-    Loopback descriptors yield one endpoint of a fresh pair; use
-    :func:`loopback_pair` directly when both ends are needed. The
-    ``simulated`` kind has no transport endpoint (drive :mod:`.simnet`
-    with schedules instead).
+    In-memory endpoints come in connected pairs from :func:`loopback_pair`;
+    simulated paths have no endpoint (drive :mod:`.simnet` with schedules).
     """
-    if descriptor.kind == OS_DATAGRAM:
-        return UdpEndpoint(descriptor)
-    if descriptor.kind == LOOPBACK:
-        a, _ = loopback_pair(descriptor.payload_size, descriptor.loopback_delay_ns)
-        return a
-    raise ValueError("simulated backend has no transport endpoint; use simnet")
+    return UdpEndpoint(descriptor)

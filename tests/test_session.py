@@ -5,11 +5,12 @@ from __future__ import annotations
 import math
 import threading
 import time
+import types
 
 import pytest
 
 from oracles import stats_oracle
-from traincap import pacing, wire
+from traincap import pacing, session, transport, wire
 from traincap.pacing import PURE_SPIN, PacerConfig
 from traincap.session import (
     SessionParams,
@@ -25,11 +26,13 @@ from traincap.train import TrainRecord, TrainSpec, TrainStatus, build_schedule
 from traincap.transport import (
     OS_DATAGRAM,
     BackendDescriptor,
+    TimestampedDatagram,
     TransportError,
     UdpEndpoint,
     loopback_pair,
 )
 from traincap.wire import (
+    HEADER_SIZE,
     FrameGeometry,
     NtpTimestamp,
     ProbePacket,
@@ -213,18 +216,18 @@ class TestInBandStamps:
 
     @staticmethod
     def _drain(ep, n):
-        probes = []
+        payloads = []
         for _ in range(n):
             dg = ep.recv(time.monotonic_ns() + 1_000_000_000)
             assert dg is not None
-            probes.append(decode_probe(dg.payload))
-        return probes
+            payloads.append(dg.payload)
+        return payloads
 
     def _check_sender(self, tx, rx):
         params = quick_params(n_trains=2, n_packets=20, desired_rate=1e9,
                               inter_train_gap_ns=1_000_000)
         records = run_sender(params, tx)
-        probes = self._drain(rx, params.n_trains * params.n_packets)
+        probes = [decode_probe(p) for p in self._drain(rx, params.n_trains * params.n_packets)]
         for rec in records:
             assert rec.status is TrainStatus.COMPLETE
             got = [p for p in probes if p.train_id == rec.train_id]
@@ -234,15 +237,25 @@ class TestInBandStamps:
 
     def _check_reflector(self, tx, rx):
         params = quick_params(n_trains=1, n_packets=20)
+        sent = []
         for seq in range(params.n_packets):
-            tx.send(encode_probe(ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0),
-                                             train_id=0, train_len=params.n_packets), 1472))
+            buf = bytearray(encode_probe(ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0),
+                                                     train_id=0, train_len=params.n_packets), 1472))
+            buf[HEADER_SIZE:] = bytes([seq + 1]) * (1472 - HEADER_SIZE)
+            tx.send(buf)
+            sent.append(buf)
         (entry,) = run_reflector(params, rx, overall_timeout_ns=2_000_000_000)
         assert not entry.partial
-        probes = self._drain(tx, params.n_packets)
+        back = self._drain(tx, params.n_packets)
+        probes = [decode_probe(p) for p in back]
         assert [p.seq for p in probes] == list(range(params.n_packets))
         for p, ts in zip(probes, entry.egress_ts):
             assert abs(ntp_to_ns(p.send_ts) - ts) <= 1
+        # Each packet goes back in a buffer of its own: apart from send_ts
+        # (bytes 4-11), its bytes are the ones sent, not those of a later
+        # datagram received into a shared buffer.
+        for got, want in zip(back, sent):
+            assert got[:4] == want[:4] and got[12:] == want[12:]
 
     def test_sender_loopback(self):
         self._check_sender(*loopback_pair(1472))
@@ -292,8 +305,103 @@ class TestSendPathBuildsNoObjects:
         assert seen[0] == seen[1]
 
 
+class TestReceivePathBuildsNoObjects:
+    def test_counts_do_not_grow_with_train_length(self, monkeypatch):
+        built = []
+        init = TimestampedDatagram.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimestampedDatagram, "__init__", counting_init)
+
+        def send_two_trains(ep, n_packets):
+            for train_id in range(2):
+                for seq in range(n_packets):
+                    ep.send(TestReceiverEdgeCases._probe(seq, train_id, n_packets))
+
+        seen = []
+        for n_packets in (2, 40):
+            built.clear()
+            params = quick_params(n_trains=2, n_packets=n_packets)
+            a, b = loopback_pair(1472)
+            send_two_trains(a, n_packets)
+            records, _ = run_receiver(params, b, overall_timeout_ns=2_000_000_000)
+            assert [r.status for r in records] == [TrainStatus.COMPLETE] * 2
+            send_two_trains(a, n_packets)
+            log = run_reflector(params, b, overall_timeout_ns=2_000_000_000)
+            assert [len(entry.egress_ts) for entry in log] == [n_packets] * 2
+            seen.append(len(built))
+        assert a.recv(time.monotonic_ns()) is not None  # a reflected packet
+        assert len(built) == seen[1] + 1  # the counter sees recv build its datagram
+        assert seen[0] == seen[1]
+
+
+class TestReceiveClockReads:
+    def test_one_clock_read_per_datagram(self, monkeypatch):
+        reads = []
+
+        def monotonic_ns():
+            reads.append(1)
+            return time.monotonic_ns()
+
+        clock = types.SimpleNamespace(monotonic_ns=monotonic_ns, sleep=time.sleep)
+        params = quick_params(n_trains=1, n_packets=30)
+        tx, rx = TestInBandStamps._udp_pair()
+        try:
+            for seq in range(params.n_packets):
+                tx.send(TestReceiverEdgeCases._probe(seq, 0, params.n_packets))
+            time.sleep(0.01)  # every datagram queued before the first receive
+            monkeypatch.setattr(transport, "time", clock)
+            monkeypatch.setattr(session, "time", clock)
+            records, _ = run_receiver(params, rx, overall_timeout_ns=2_000_000_000)
+        finally:
+            tx.close()
+            rx.close()
+        assert [r.status for r in records] == [TrainStatus.COMPLETE]
+        assert len(reads) <= params.n_packets + 2
+
+
+class TestOverallDeadlineUnderFlood:
+    """A role whose queue never empties still ends at its overall deadline."""
+
+    class Flood:
+        """Delivers a non-probe datagram, stamped now, on every receive for 5 s.
+
+        A flooding thread cannot stand in for it: it shares the interpreter
+        with the role, and the role drains its queue between turns.
+        """
+
+        def __init__(self):
+            self.until = time.monotonic_ns() + 5_000_000_000
+
+        def recv_from(self, deadline):
+            now = time.monotonic_ns()
+            return None if now >= self.until else (bytearray(10), now, None)
+
+        def send(self, payload, remote=None, *, stamp_probe=False):
+            raise AssertionError("a flood holds no train to reflect")
+
+    @pytest.mark.parametrize(
+        "role",
+        [
+            lambda params, ep, t: run_receiver(params, ep, overall_timeout_ns=t)[0],
+            lambda params, ep, t: run_reflector(params, ep, overall_timeout_ns=t),
+        ],
+        ids=["receiver", "reflector"],
+    )
+    def test_returns_empty_handed(self, role):
+        flood = self.Flood()
+        assert role(quick_params(), flood, 200_000_000) == []
+        # Returned while the flood was still on. Not a tight timing bound:
+        # the host pauses for milliseconds.
+        assert time.monotonic_ns() < flood.until
+
+
 class TestReceiverEdgeCases:
-    def _probe(self, seq, train_id, train_len, payload_size=1472):
+    @staticmethod
+    def _probe(seq, train_id, train_len, payload_size=1472):
         return encode_probe(
             ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0), train_id=train_id,
                         train_len=train_len),

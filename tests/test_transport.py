@@ -7,14 +7,11 @@ import time
 import pytest
 
 from traincap.transport import (
-    LOOPBACK,
     OS_DATAGRAM,
-    SIMULATED,
     BackendDescriptor,
     TransportError,
     UdpEndpoint,
     loopback_pair,
-    open_endpoint,
 )
 from traincap.wire import NtpTimestamp, ProbePacket, decode_probe, encode_probe, ntp_to_ns
 
@@ -26,18 +23,13 @@ def now():
 class TestDescriptor:
     def test_payload_too_small(self):
         with pytest.raises(ValueError, match="payload too small"):
-            BackendDescriptor(kind=LOOPBACK, payload_size=15)
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=15)
         with pytest.raises(ValueError, match="payload too small"):
             BackendDescriptor(kind=OS_DATAGRAM, payload_size=19)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown backend kind"):
             BackendDescriptor(kind="carrier-pigeon", payload_size=100)
-
-    def test_simulated_has_no_endpoint(self):
-        desc = BackendDescriptor(kind=SIMULATED, payload_size=100)
-        with pytest.raises(ValueError, match="simnet"):
-            open_endpoint(desc)
 
 
 class TestLoopback:
@@ -98,10 +90,6 @@ class TestLoopback:
         with pytest.raises(TransportError, match="only to its peer"):
             a.send(bytes(32), ("127.0.0.1", 9))
         assert b.recv(now() + 1_000_000) is None
-
-    def test_open_endpoint_loopback(self):
-        ep = open_endpoint(BackendDescriptor(kind=LOOPBACK, payload_size=64))
-        assert ep.recv(now() + 1_000_000) is None
 
 
 class TestUdp:
