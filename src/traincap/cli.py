@@ -42,7 +42,7 @@ from .session import (
     safe_send_rate,
 )
 from .simnet import PRESET_NAMES, preset, simulate_train
-from .train import TrainRecord, TrainSpec, build_schedule
+from .train import DegenerateDurationError, TrainRecord, TrainSpec, build_schedule
 from .transport import (
     DEFAULT_PORT,
     OS_DATAGRAM,
@@ -74,6 +74,21 @@ def parse_rate(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError("rate must be positive")
     return int(round(value))
+
+
+def at_least(minimum: int):
+    """argparse type: an integer count no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def default_port() -> int:
@@ -246,9 +261,6 @@ def cmd_reflect(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = preset(args.preset, args.frame_size)
     if args.jitter:
-        if args.seed is None:
-            print("usage: --jitter requires --seed for reproducibility", file=sys.stderr)
-            return EXIT_USAGE
         cfg = replace(cfg, jitter=args.jitter)
     if args.link_capacity:
         cfg = replace(cfg, link_capacity=args.link_capacity)
@@ -264,15 +276,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.experiment:
-        report = run_experiment(
-            args.experiment,
-            n_packets=args.packets,
-            n_trains=args.trains,
-            repeats=args.repeats,
-            frame_size=args.frame_size,
-            jitter=args.jitter,
-            seed=args.seed,
-        )
+        try:
+            report = run_experiment(
+                args.experiment,
+                n_packets=args.packets,
+                n_trains=args.trains,
+                repeats=args.repeats,
+                frame_size=args.frame_size,
+                jitter=args.jitter,
+                seed=args.seed,
+            )
+        except DegenerateDurationError as exc:
+            print(f"no valid trains: {exc}", file=sys.stderr)
+            return EXIT_NO_VALID_TRAINS
         write_rows(report.rows, args.out, args.out_file)
         return EXIT_OK
     rows = read_rows(args.in_file)
@@ -302,8 +318,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, rate_required: bool = True) -> None:
-    p.add_argument("--trains", type=int, default=10, help="number of trains (default 10)")
-    p.add_argument("--packets", type=int, default=50, help="packets per train (default 50)")
+    p.add_argument("--trains", type=at_least(1), default=10, help="number of trains (default 10)")
+    p.add_argument("--packets", type=at_least(2), default=50, help="packets per train (default 50)")
     p.add_argument("--rate", type=parse_rate, required=rate_required, default=None if rate_required else 100_000_000,
                    help="desired Ethernet-layer rate in bits/s (accepts k/M/G suffixes)")
     p.add_argument("--frame-size", type=int, default=1514,
@@ -355,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run an experiment set or summarize a records file")
     _add_common(p, rate_required=False)
     p.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
-    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--repeats", type=at_least(1), default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jitter", type=float, default=0.0)
     p.add_argument("--in", dest="in_file", default=None, help="records file to summarize")
@@ -369,6 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "report" and not args.experiment and not args.in_file:
         parser.error("report needs --experiment or --in")
+    if getattr(args, "jitter", 0) and args.seed is None:
+        print("usage: --jitter requires --seed for reproducibility", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except TransportError as exc:

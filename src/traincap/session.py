@@ -440,17 +440,29 @@ def _simulated_rep_means(
     repeats: int,
     rng: random.Random | None,
 ) -> tuple[list[float], list[float]]:
-    """Per-repetition mean estimated send/receive rates."""
+    """Per-repetition mean estimated send/receive rates.
+
+    Without an rng the model is a pure function of its config, so one
+    train stands for all of them. Its rates are still summed n_trains
+    times and divided, as a mean over distinct trains is, so every mean
+    keeps the last bits that the std cells depend on.
+    """
+
+    def train_rates(train_id: int) -> tuple[float, float]:
+        spec = TrainSpec(n_packets, cfg.geometry, desired_rate, train_id=train_id)
+        _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
+        return estimate_send_rate(rec), estimate_receive_rate(rec)
+
+    if rng is None:
+        send, recv = train_rates(0)
+        send_mean = sum([send] * n_trains) / n_trains
+        recv_mean = sum([recv] * n_trains) / n_trains
+        return [send_mean] * repeats, [recv_mean] * repeats
     send_means, recv_means = [], []
     for _ in range(repeats):
-        send_rates, recv_rates = [], []
-        for train_id in range(n_trains):
-            spec = TrainSpec(n_packets, cfg.geometry, desired_rate, train_id=train_id)
-            _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
-            send_rates.append(estimate_send_rate(rec))
-            recv_rates.append(estimate_receive_rate(rec))
-        send_means.append(sum(send_rates) / len(send_rates))
-        recv_means.append(sum(recv_rates) / len(recv_rates))
+        send_rates, recv_rates = zip(*(train_rates(t) for t in range(n_trains)))
+        send_means.append(sum(send_rates) / n_trains)
+        recv_means.append(sum(recv_rates) / n_trains)
     return send_means, recv_means
 
 
@@ -477,10 +489,16 @@ def run_experiment(
                            for the actual send rate.
     receiver-vs-reference: bypass sender into each preset's receiver.
 
-    Identical arguments (including the seed) reproduce identical tables.
+    Identical arguments (including the seed) reproduce identical tables,
+    so jitter needs a seed. A preset whose train has a zero-duration
+    span raises DegenerateDurationError naming that preset.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind: {kind!r}")
+    if n_trains < 1 or repeats < 1:
+        raise ValueError("n_trains and repeats must be at least 1")
+    if jitter > 0 and seed is None:
+        raise ValueError("jitter requires a seed")
     rng = random.Random(seed) if jitter > 0 else None
     rows: list[dict] = []
 
@@ -512,9 +530,15 @@ def run_experiment(
             cfg = replace(combine(bypass, base), jitter=jitter)
             rate = desired_rate
             label_est, label_act = "est_recv", "actual_recv"
-        send_means, recv_means = _simulated_rep_means(
-            cfg, rate, n_packets, n_trains, repeats, rng
-        )
+        try:
+            send_means, recv_means = _simulated_rep_means(
+                cfg, rate, n_packets, n_trains, repeats, rng
+            )
+        except DegenerateDurationError:
+            raise DegenerateDurationError(
+                f"{kind}: preset {name!r} gives a train of {n_packets} packets"
+                " whose first and last timestamps coincide"
+            ) from None
         if kind == "receiver-vs-reference":
             ref_cfg = replace(combine(bypass, bypass), jitter=jitter)
             _, actual_means = _simulated_rep_means(

@@ -20,7 +20,11 @@ undistorted timestamps.
 
 All events are deterministic. Optional uniform jitter on the four delay
 parameters (a fraction of each nominal value, drawn per use) sits behind
-an explicitly supplied RNG.
+an explicitly supplied RNG. The draws are written inline in the
+per-packet loops, in one fixed order and only for positive nominals:
+every packet's send processing, then the last send stamp's lag, the
+first receive batch's lag, and every packet's receive processing. That
+order is part of what a seed reproduces.
 """
 
 from __future__ import annotations
@@ -173,14 +177,26 @@ def simulate_train(
     if cfg.jitter > 0 and rng is None:
         raise ValueError("jitter requires an explicit rng")
 
+    # Each draw is nominal * uniform(1 - jit, 1 + jit), written out as
+    # random.uniform computes it (a + (b - a) * random()), and each max is
+    # a conditional that keeps the first operand on ties, as max does: the
+    # per-packet loops call only list.append and, with jitter, rng.random.
     jit = cfg.jitter
+    if jit > 0:
+        rnd = rng.random
+        lo, width = 1 - jit, (1 + jit) - (1 - jit)
 
     def draw(nominal: float) -> float:
         if jit > 0 and nominal > 0:
-            return nominal * rng.uniform(1 - jit, 1 + jit)
+            return nominal * (lo + width * rnd())
         return nominal
 
     ser = cfg.serialization_ns
+    prop = cfg.prop_delay
+    d_send = cfg.d_proc_send
+    d_recv = cfg.d_proc_recv
+    jit_send = jit > 0 and d_send > 0
+    jit_recv = jit > 0 and d_recv > 0
     intended = [float(t) for t in schedule.send_instants]
     n = len(intended)
 
@@ -188,31 +204,39 @@ def simulate_train(
     egress: list[float] = []
     departure: list[float] = []
     arrival: list[float] = []
-    for i, s in enumerate(intended):
-        sub = s if i == 0 else max(s, egress[i - 1])
-        submit.append(sub)
-        egress.append(sub + draw(cfg.d_proc_send))
-        dep = egress[i] if i == 0 else max(egress[i], departure[i - 1] + ser)
-        departure.append(dep)
-        arrival.append(dep + ser + cfg.prop_delay)
+    submit_append, egress_append = submit.append, egress.append
+    departure_append, arrival_append = departure.append, arrival.append
+    eg = dep = float("-inf")
+    for s in intended:
+        sub = s if s >= eg else eg
+        eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
+        free = dep + ser
+        dep = eg if eg >= free else free
+        submit_append(sub)
+        egress_append(eg)
+        departure_append(dep)
+        arrival_append(dep + ser + prop)
 
     sender_ts = list(submit)
     sender_ts[n - 1] = submit[n - 1] + draw(cfg.d_ts_last)
 
-    recv_ts = [0.0] * n
-    busy = float("-inf")
-    first_batch = True
-    for lo in range(0, n, cfg.batch_size):
-        batch = range(lo, min(lo + cfg.batch_size, n))
-        start = max(arrival[batch[-1]], busy)
-        if first_batch:
-            start += draw(cfg.d_ts_first_recv)
-            first_batch = False
-        offset = 0.0
-        for p in batch:
-            recv_ts[p] = start + offset
-            offset += draw(cfg.d_proc_recv)
-        busy = start + offset
+    # Batches of batch_size packets; a batch starts once its last packet
+    # has arrived and the previous batch is done.
+    batch = cfg.batch_size
+    recv_ts: list[float] = []
+    recv_append = recv_ts.append
+    start = arrival[min(batch, n) - 1] + draw(cfg.d_ts_first_recv)
+    offset = 0.0
+    next_batch = batch
+    for p in range(n):
+        if p == next_batch:
+            busy = start + offset
+            last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
+            start = last if last >= busy else busy
+            offset = 0.0
+            next_batch += batch
+        recv_append(start + offset)
+        offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
 
     trace = SimTrace(
         intended=intended,

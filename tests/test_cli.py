@@ -109,6 +109,17 @@ class TestSimulateCommand:
                           "--jitter", "0.1")
         assert code == EXIT_USAGE
 
+    def test_report_jitter_without_seed_is_usage_error(self, capsys):
+        code, out = run_cli(capsys, "report", "--experiment", "same-method",
+                            "--jitter", "0.1")
+        assert code == EXIT_USAGE
+        assert out == ""
+
+    def test_one_packet_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--preset", "stack", "--rate", "1G", "--packets", "1"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "records.json"
         code, out = run_cli(capsys, "simulate", "--preset", "bypass", "--rate", "1G",
@@ -204,7 +215,91 @@ class TestReportCommand:
         for r in rows:
             assert int(r["count"]) == 5
 
+    @pytest.mark.parametrize("kind", ["same-method", "receiver-vs-reference"])
+    def test_zero_duration_preset_exits_4(self, capsys, kind):
+        # mapped-batch stamps a whole 20-packet train in one batch of 25
+        # with no per-packet receive cost, so its receive span is zero.
+        code = main(["report", "--experiment", kind, "--packets", "20"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NO_VALID_TRAINS
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "mapped-batch" in lines[0] and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, value", [("--packets", "1"), ("--trains", "0"),
+                                             ("--repeats", "0"), ("--trains", "x")])
+    def test_bad_counts_are_usage_errors(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--experiment", "same-method", flag, value])
+        assert exc.value.code == EXIT_USAGE
+
     def test_report_needs_source(self):
         with pytest.raises(SystemExit) as exc:
             main(["report"])
         assert exc.value.code == 2
+
+
+def cli_json(capsys, *argv):
+    code, out = run_cli(capsys, *argv, "--out", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+class TestSeedContract:
+    """Literal outputs, recorded before the simulator's draws were inlined.
+
+    The order of the jitter draws is part of the per-seed contract: the
+    same seed must give these exact floats, bit for bit.
+    """
+
+    def cells(self, rows, preset):
+        return {r["metric"]: (r["mean_bps"], r["std_bps"]) for r in rows if r["preset"] == preset}
+
+    @pytest.mark.parametrize("kind, seed, preset, expected", [
+        ("same-method", 1, "stack", {"est_send": (2583721001.948514, 5192878.789257857),
+                                     "est_recv": (2624730045.276372, 4655703.488798338)}),
+        ("same-method", 2, "mapped-batch", {"est_send": (9824725480.09919, 1077923.1417262696),
+                                            "est_recv": (19345123537.061096, 0.0)}),
+        ("receiver-vs-reference", 1, "stack", {"est_recv": (8097790496.594276, 17982510.167752475),
+                                               "actual_recv": (9878105213.869345, 150295.11636326366)}),
+        ("receiver-vs-reference", 2, "mapped-batch", {"est_recv": (19345123537.061096, 0.0),
+                                                      "actual_recv": (9878092919.503708, 119671.04896481264)}),
+    ])
+    def test_jittered_tables(self, capsys, kind, seed, preset, expected):
+        rows = cli_json(capsys, "report", "--experiment", kind, "--jitter", "0.1", "--seed", str(seed))
+        assert self.cells(rows, preset) == expected
+
+    @pytest.mark.parametrize("preset, expected", [
+        ("stack", [(0, 0.0, 230664.59473732574, 10830.211519804081, 238202.95534072613),
+                   (2, 0.0, 229594.5912687883, 10131.00553997515, 236376.1344294401)]),
+        ("mapped-batch", [(0, 0.0, 59756.03269622334, 30809.52379553511, 61569.52379553515),
+                          (2, 0.0, 59764.42083122874, 30814.591346724887, 61574.59134672492)]),
+    ])
+    def test_jittered_timestamps(self, capsys, preset, expected):
+        rows = cli_json(capsys, "simulate", "--preset", preset, "--rate", "10G", "--trains", "3",
+                        "--timestamps", "--jitter", "0.1", "--seed", "11")
+        got = [(r["train_id"], r["send_ts"][0], r["send_ts"][-1], r["recv_ts"][0], r["recv_ts"][-1])
+               for r in (rows[0], rows[-1])]
+        assert got == expected
+
+    @pytest.mark.parametrize("kind, preset, expected", [
+        ("same-method", "rawcap", {"est_send": (6424224735.497993, 0.0),
+                                   "est_recv": (5520000000.000001, 0.0)}),
+        ("sender-vs-reference", "stack", {"est_send": (2580043956.0439563, 0.0),
+                                          "actual_send": (2584777981.6513762, 0.0)}),
+        ("receiver-vs-reference", "stack", {"est_recv": (8096000000.0, 0.0),
+                                            "actual_recv": (9883810999.2254, 0.0)}),
+    ])
+    def test_jitter_free_tables(self, capsys, kind, preset, expected):
+        rows = cli_json(capsys, "report", "--experiment", kind,
+                        "--packets", "30", "--trains", "3", "--repeats", "4")
+        assert self.cells(rows, preset) == expected
+
+    def test_jitter_free_std_keeps_last_bits(self, capsys):
+        # Ten equal rates summed and divided by ten need not give the rate
+        # back; the std cell shows those last bits.
+        rows = cli_json(capsys, "report", "--experiment", "same-method")
+        stack = next(r for r in rows if r["preset"] == "stack" and r["metric"] == "est_send")
+        assert (stack["min_bps"], stack["mean_bps"], stack["std_bps"], stack["rel_std_pct"]) == (
+            2581587852.4945765, 2581587852.494576, 5.026304976413058e-07, 1.9469819597873315e-14)

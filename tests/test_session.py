@@ -10,7 +10,7 @@ import types
 import pytest
 
 from oracles import stats_oracle
-from traincap import pacing, session, transport, wire
+from traincap import pacing, session, simnet, transport, wire
 from traincap.pacing import PURE_SPIN, PacerConfig
 from traincap.session import (
     SessionParams,
@@ -531,6 +531,33 @@ class TestExperiments:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             run_experiment("frobnicate")
+
+    @pytest.mark.parametrize("kwargs", [dict(n_trains=0), dict(repeats=0),
+                                        dict(jitter=0.1, seed=None)])
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            run_experiment("same-method", **kwargs)
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 8), ("sweep", 16),
+    ])
+    def test_jitter_free_work_does_not_scale(self, monkeypatch, kind, expected):
+        calls = []
+        real = simnet.simulate_train
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        # The sweep simulates through simnet's own name, the tables through session's.
+        monkeypatch.setattr(session, "simulate_train", counting)
+        monkeypatch.setattr(simnet, "simulate_train", counting)
+        seen = []
+        for size in (2, 10):
+            calls.clear()
+            run_experiment(kind, n_trains=size, repeats=size)
+            seen.append(len(calls))
+        assert seen == [expected, expected]
 
     def test_reports_reproducible(self):
         a = run_experiment("same-method", presets=("stack",), repeats=2, n_trains=2)
