@@ -9,9 +9,14 @@ their median.
 
 import statistics
 
-from traincap import SessionParams, run_loopback_session
+from traincap import (
+    SessionParams,
+    TrainStatus,
+    estimate_receive_rate,
+    estimate_send_rate,
+    run_loopback_session,
+)
 from traincap.pacing import PURE_SPIN, PacerConfig
-from traincap.session import safe_send_rate
 from traincap.wire import FrameGeometry
 
 params = SessionParams(
@@ -24,17 +29,33 @@ params = SessionParams(
 
 sender_records, receiver_records, apc = run_loopback_session(params)
 
+
+def rated(estimate, rec):
+    """The record's rate, or None unless its status is complete."""
+    return estimate(rec) if rec is not None and rec.status is TrainStatus.COMPLETE else None
+
+
+def fmt(rate):
+    return f"{rate / 1e6:16.2f}" if rate is not None else f"{'-':>16}"
+
+
+received = {rec.train_id: rec for rec in receiver_records}
 print("per-train results at 100 Mbps over loopback:")
-print(f"  {'train':>5} {'status':>10} {'est send (Mbps)':>16} {'est recv (Mbps)':>16}")
-for s_rec, r_rec in zip(sender_records, receiver_records):
-    send_rate = safe_send_rate(s_rec)
-    recv_rate = apc.rates[r_rec.train_id] if r_rec.train_id < len(apc.rates) else None
-    fmt = lambda r: f"{r/1e6:16.2f}" if r else f"{'-':>16}"
-    print(f"  {s_rec.train_id:>5} {r_rec.status.value:>10} {fmt(send_rate)} {fmt(recv_rate)}")
+print(f"  {'train':>5} {'status':>13} {'est send (Mbps)':>16} {'est recv (Mbps)':>16}")
+for s_rec in sender_records:
+    r_rec = received.get(s_rec.train_id)
+    status = r_rec.status.value if r_rec is not None else "not received"
+    send_rate = rated(estimate_send_rate, s_rec)
+    recv_rate = rated(estimate_receive_rate, r_rec)
+    print(f"  {s_rec.train_id:>5} {status:>13} {fmt(send_rate)} {fmt(recv_rate)}")
 
 print()
-send_median = statistics.median(r for r in map(safe_send_rate, sender_records) if r)
-print(f"median estimated send rate: {send_median/1e6:.2f} Mbps")
+send_rates = [r for r in (rated(estimate_send_rate, rec) for rec in sender_records) if r is not None]
+if send_rates:
+    print(f"median estimated send rate: {statistics.median(send_rates) / 1e6:.2f} Mbps")
 print(f"valid trains: {apc.valid_count}/{params.n_trains}")
-print(f"available path capacity estimate: {apc.apc_estimate/1e6:.2f} Mbps "
-      "(median receive rate on an empty path)")
+if apc.apc_estimate is None:
+    print("available path capacity estimate: none (no complete train received)")
+else:
+    print(f"available path capacity estimate: {apc.apc_estimate / 1e6:.2f} Mbps "
+          "(median receive rate on an empty path)")

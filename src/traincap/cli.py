@@ -10,6 +10,12 @@ The default UDP port is 8620, overridable via the TRAINCAP_PORT
 environment variable or an explicit host:port.
 
 Exit codes: 0 ok, 2 usage error, 3 transport error, 4 no valid trains.
+Usage errors include option values the roles cannot run with (a jitter
+outside [0, 1), a frame too small for the probe header, a rate too fast
+to schedule, a bad port, a train too long for the 16-bit train_len, a
+gap or timeout that is not a positive finite duration) and a
+``report --in`` file that cannot be read or whose rate cells are not
+finite numbers. Each is reported on stderr, without a traceback.
 
 With ``--backend loopback`` the send and receive commands run both roles
 in one process over an in-memory pair (two processes cannot share a
@@ -22,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -31,18 +38,26 @@ from typing import Sequence
 from .pacing import HYBRID, PURE_SPIN, PacerConfig
 from .session import (
     EXPERIMENT_KINDS,
+    MAX_TRAIN_PACKETS,
     SessionParams,
+    _stats_row,
     aggregate_stats,
     run_experiment,
     run_loopback_session,
     run_receiver,
     run_reflector,
     run_sender,
-    safe_receive_rate,
-    safe_send_rate,
 )
 from .simnet import PRESET_NAMES, preset, simulate_train
-from .train import DegenerateDurationError, TrainRecord, TrainSpec, build_schedule
+from .train import (
+    DegenerateDurationError,
+    TrainRecord,
+    TrainSpec,
+    TrainStatus,
+    build_schedule,
+    estimate_receive_rate,
+    estimate_send_rate,
+)
 from .transport import (
     DEFAULT_PORT,
     OS_DATAGRAM,
@@ -50,7 +65,7 @@ from .transport import (
     TransportError,
     open_endpoint,
 )
-from .wire import FrameGeometry
+from .wire import MIN_FRAME_SIZE, FrameGeometry
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,6 +73,7 @@ EXIT_TRANSPORT = 3
 EXIT_NO_VALID_TRAINS = 4
 
 _SUFFIXES = {"k": 1e3, "M": 1e6, "G": 1e9}
+_RATE_COLUMNS = ("est_send_rate_bps", "est_recv_rate_bps")
 
 
 def parse_rate(text: str) -> int:
@@ -71,13 +87,14 @@ def parse_rate(text: str) -> int:
         value = float(text) * mult
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid rate: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("rate must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("rate must be positive and finite")
     return int(round(value))
 
 
-def at_least(minimum: int):
-    """argparse type: an integer count no smaller than ``minimum``."""
+def at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than ``minimum`` (and no larger
+    than ``maximum``, when given)."""
 
     def parse(text: str) -> int:
         try:
@@ -86,13 +103,54 @@ def at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid count: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+
+
+def jitter_fraction(text: str) -> float:
+    """argparse type: a jitter fraction in [0, 1)."""
+    value = _number(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
+def duration(minimum: float, unit: str):
+    """argparse type: a finite duration in ``unit`` no shorter than ``minimum``."""
+
+    def parse(text: str) -> float:
+        value = _number(text)
+        if not minimum <= value < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum:g} {unit} and finite, got {text}"
+            )
+        return value
+
+    return parse
+
+
+def _port(text: str, where: str) -> int:
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port < 1 << 16:
+        raise argparse.ArgumentTypeError(f"invalid port in {where}: {text!r}")
+    return port
+
+
 def default_port() -> int:
-    return int(os.environ.get("TRAINCAP_PORT", DEFAULT_PORT))
+    return _port(os.environ.get("TRAINCAP_PORT", str(DEFAULT_PORT)), "TRAINCAP_PORT")
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -100,7 +158,7 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep:
         return text, default_port()
-    return host, int(port) if port else default_port()
+    return host, _port(port, repr(text)) if port else default_port()
 
 
 # ---------------------------------------------------------------------------
@@ -108,12 +166,17 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def record_row(rec: TrainRecord, timestamps: bool = False) -> dict:
+    """One OutputRecord. ``rec.status`` judges the receive side if there is
+    one, else the send side; a simulated send side always has a span."""
+    complete = rec.status is TrainStatus.COMPLETE
     row = {
         "train_id": rec.train_id,
         "n_packets": rec.spec.n_packets,
         "desired_rate_bps": int(rec.spec.desired_rate),
-        "est_send_rate_bps": safe_send_rate(rec) if rec.send_ts else None,
-        "est_recv_rate_bps": safe_receive_rate(rec) if rec.recv_ts else None,
+        "est_send_rate_bps": (
+            estimate_send_rate(rec) if rec.send_ts and (complete or rec.recv_ts) else None
+        ),
+        "est_recv_rate_bps": estimate_receive_rate(rec) if complete and rec.recv_ts else None,
         "status": rec.status.value,
     }
     if timestamps:
@@ -151,24 +214,36 @@ def write_rows(rows: list[dict], fmt: str, out_file: str | None) -> None:
 
 
 def read_rows(path: str) -> list[dict]:
-    """Load OutputRecords back from a CSV or JSON file."""
+    """Load OutputRecords back from a CSV or JSON file, cells as stored.
+
+    JSON cells keep their JSON types. CSV cells stay strings, with ""
+    for a missing value; callers convert the columns they use.
+    """
     with open(path) as f:
         text = f.read()
     if text.lstrip().startswith("["):
-        return json.loads(text)
-    rows = []
-    for raw in csv.DictReader(io.StringIO(text)):
-        row: dict = {}
-        for key, value in raw.items():
-            if value == "" or value is None:
-                row[key] = None
-            else:
-                try:
-                    row[key] = float(value) if "." in value or "e" in value else int(value)
-                except ValueError:
-                    row[key] = value
-        rows.append(row)
-    return rows
+        rows = json.loads(text)
+        if not all(isinstance(row, dict) for row in rows):
+            raise ValueError("a JSON records file is a list of objects")
+        return rows
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def _rates(rows: list[dict], column: str) -> list[float]:
+    """The filled cells of one rate column, each a finite float."""
+    values = []
+    for row in rows:
+        cell = row.get(column)
+        if cell is None or cell == "":
+            continue
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{column} is not a finite number: {cell!r}")
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +272,7 @@ def cmd_send(args: argparse.Namespace) -> int:
         descriptor = BackendDescriptor(
             kind=OS_DATAGRAM,
             payload_size=params.geometry.payload_size,
-            remote=parse_endpoint(args.remote),
+            remote=args.remote,
         )
         endpoint = open_endpoint(descriptor)
         try:
@@ -216,7 +291,7 @@ def cmd_receive(args: argparse.Namespace) -> int:
         descriptor = BackendDescriptor(
             kind=OS_DATAGRAM,
             payload_size=params.geometry.payload_size,
-            local=parse_endpoint(args.local),
+            local=args.local,
         )
         endpoint = open_endpoint(descriptor)
         try:
@@ -238,7 +313,7 @@ def cmd_reflect(args: argparse.Namespace) -> int:
     descriptor = BackendDescriptor(
         kind=OS_DATAGRAM,
         payload_size=params.geometry.payload_size,
-        local=parse_endpoint(args.local),
+        local=args.local,
     )
     endpoint = open_endpoint(descriptor)
     try:
@@ -291,24 +366,17 @@ def cmd_report(args: argparse.Namespace) -> int:
             return EXIT_NO_VALID_TRAINS
         write_rows(report.rows, args.out, args.out_file)
         return EXIT_OK
-    rows = read_rows(args.in_file)
-    summary = []
-    for column in ("est_send_rate_bps", "est_recv_rate_bps"):
-        values = [r[column] for r in rows if r.get(column) is not None]
-        if not values:
-            continue
-        stats = aggregate_stats(values)
-        summary.append(
-            {
-                "metric": column,
-                "count": len(values),
-                "min_bps": stats.min,
-                "max_bps": stats.max,
-                "mean_bps": stats.mean,
-                "std_bps": stats.std,
-                "rel_std_pct": stats.rel_std_pct,
-            }
-        )
+    try:
+        rows = read_rows(args.in_file)
+        columns = [(column, _rates(rows, column)) for column in _RATE_COLUMNS]
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"usage: --in {args.in_file}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    summary = [
+        {"metric": column, "count": len(values), **_stats_row(aggregate_stats(values))}
+        for column, values in columns
+        if values
+    ]
     write_rows(summary, args.out, args.out_file)
     return EXIT_OK
 
@@ -317,19 +385,22 @@ def cmd_report(args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser, rate_required: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, rate_required: bool = True, max_packets: int | None = None
+) -> None:
     p.add_argument("--trains", type=at_least(1), default=10, help="number of trains (default 10)")
-    p.add_argument("--packets", type=at_least(2), default=50, help="packets per train (default 50)")
+    p.add_argument("--packets", type=at_least(2, max_packets), default=50,
+                   help="packets per train (default 50)")
     p.add_argument("--rate", type=parse_rate, required=rate_required, default=None if rate_required else 100_000_000,
                    help="desired Ethernet-layer rate in bits/s (accepts k/M/G suffixes)")
-    p.add_argument("--frame-size", type=int, default=1514,
+    p.add_argument("--frame-size", type=at_least(MIN_FRAME_SIZE), default=1514,
                    help="Ethernet frame size excluding FCS (default 1514)")
     p.add_argument("--out", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out-file", default=None, help="write output here instead of stdout")
     p.add_argument("--timestamps", action="store_true", help="include per-packet timestamps")
-    p.add_argument("--gap-ms", type=float, default=10.0, help="inter-train gap in ms (default 10)")
+    p.add_argument("--gap-ms", type=duration(1e-6, "ms"), default=10.0, help="inter-train gap in ms (default 10)")
     p.add_argument("--pacer", choices=(PURE_SPIN, HYBRID), default=HYBRID)
-    p.add_argument("--spin-window-us", type=int, default=200,
+    p.add_argument("--spin-window-us", type=at_least(1), default=200,
                    help="hybrid pacer final busy-wait window in us (default 200)")
 
 
@@ -341,29 +412,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("send", help="pace probe trains at a target rate")
-    _add_common(p)
+    _add_common(p, max_packets=MAX_TRAIN_PACKETS)
     p.add_argument("--backend", choices=("udp", "loopback"), default="udp")
-    p.add_argument("--remote", help="receiver/reflector host:port (udp backend)")
+    p.add_argument("--remote", type=parse_endpoint,
+                   help="receiver/reflector host:port (udp backend)")
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("receive", help="collect trains and report receive rates and APC")
-    _add_common(p, rate_required=False)
+    _add_common(p, rate_required=False, max_packets=MAX_TRAIN_PACKETS)
     p.add_argument("--backend", choices=("udp", "loopback"), default="udp")
-    p.add_argument("--local", default=":", help="bind address host:port (default port 8620)")
-    p.add_argument("--timeout", type=float, default=30.0, help="overall timeout in s")
+    p.add_argument("--local", type=parse_endpoint, default=":",
+                   help="bind address host:port (default port 8620)")
+    p.add_argument("--timeout", type=duration(1e-9, "s"), default=30.0,
+                   help="overall timeout in s")
     p.set_defaults(func=cmd_receive)
 
     p = sub.add_parser("reflect", help="buffer each train, then burst it back")
-    _add_common(p, rate_required=False)
-    p.add_argument("--local", default=":", help="bind address host:port (default port 8620)")
-    p.add_argument("--timeout", type=float, default=30.0, help="overall timeout in s")
+    _add_common(p, rate_required=False, max_packets=MAX_TRAIN_PACKETS)
+    p.add_argument("--local", type=parse_endpoint, default=":",
+                   help="bind address host:port (default port 8620)")
+    p.add_argument("--timeout", type=duration(1e-9, "s"), default=30.0,
+                   help="overall timeout in s")
     p.set_defaults(func=cmd_reflect)
 
     p = sub.add_parser("simulate", help="run trains through the deterministic path model")
     _add_common(p)
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required with --jitter)")
-    p.add_argument("--jitter", type=float, default=0.0, help="uniform +/- fraction on model delays")
+    p.add_argument("--jitter", type=jitter_fraction, default=0.0,
+                   help="uniform +/- fraction on model delays, in [0, 1)")
     p.add_argument("--link-capacity", type=parse_rate, default=None,
                    help="override the preset's link capacity")
     p.set_defaults(func=cmd_simulate)
@@ -373,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
     p.add_argument("--repeats", type=at_least(1), default=10)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jitter", type=float, default=0.0)
+    p.add_argument("--jitter", type=jitter_fraction, default=0.0)
     p.add_argument("--in", dest="in_file", default=None, help="records file to summarize")
     p.set_defaults(func=cmd_report)
 
@@ -387,6 +464,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("report needs --experiment or --in")
     if getattr(args, "jitter", 0) and args.seed is None:
         print("usage: --jitter requires --seed for reproducibility", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        build_schedule(TrainSpec(2, FrameGeometry(args.frame_size), args.rate), 0)
+    except ValueError as exc:
+        print(f"usage: --rate {args.rate} at --frame-size {args.frame_size}: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

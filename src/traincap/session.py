@@ -36,7 +36,6 @@ from .simnet import (
 )
 from .train import (
     DegenerateDurationError,
-    InvalidTrainError,
     TrainRecord,
     TrainSpec,
     TrainStatus,
@@ -53,6 +52,7 @@ _NS_PER_S = 1_000_000_000
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
 _MAX_LINGER_NS = 2_000_000  # the sender's wait past a train's last packet
+MAX_TRAIN_PACKETS = (1 << 16) - 1  # train_len is a 16-bit wire field
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ class SessionParams:
     def __post_init__(self) -> None:
         if self.n_trains < 1:
             raise ValueError("n_trains must be at least 1")
+        if self.n_packets > MAX_TRAIN_PACKETS:
+            raise ValueError(f"n_packets must be at most {MAX_TRAIN_PACKETS} (16-bit train_len)")
         if self.inter_train_gap_ns <= 0:
             raise ValueError("inter_train_gap_ns must be positive")
 
@@ -141,31 +143,13 @@ def aggregate_stats(rates: Sequence[float]) -> RateStats:
     return RateStats(min=min(rates), max=max(rates), mean=mean, std=std, rel_std_pct=rel)
 
 
-def safe_send_rate(rec: TrainRecord) -> float | None:
-    """Send-rate estimate, or None; marks degenerate trains zero-duration."""
-    try:
-        return estimate_send_rate(rec)
-    except DegenerateDurationError:
-        rec.status = TrainStatus.ZERO_DURATION
-        return None
-    except InvalidTrainError:
-        return None
-
-
-def safe_receive_rate(rec: TrainRecord) -> float | None:
-    """Receive-rate estimate, or None; marks degenerate trains zero-duration."""
-    try:
-        return estimate_receive_rate(rec)
-    except DegenerateDurationError:
-        rec.status = TrainStatus.ZERO_DURATION
-        return None
-    except InvalidTrainError:
-        return None
-
-
 def apc_report(records: Sequence[TrainRecord]) -> ApcReport:
-    """Median of the valid trains' receive rates on an empty path."""
-    rates = [r for r in (safe_receive_rate(rec) for rec in records) if r is not None]
+    """Median of the complete trains' receive rates on an empty path."""
+    rates = [
+        estimate_receive_rate(rec)
+        for rec in records
+        if rec.status is TrainStatus.COMPLETE and rec.recv_ts
+    ]
     if not rates:
         return ApcReport(rates=[], valid_count=0, apc_estimate=None, status="no-valid-trains")
     return ApcReport(
@@ -185,8 +169,9 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
 
     Packets are fully pre-built per train except the timestamp field,
     which the endpoint patches with the same clock reading it returns as
-    the packet's send stamp. A transport failure marks the current and
-    all remaining trains failed.
+    the packet's send stamp. A train whose first and last stamps are
+    equal (a clock too coarse for its span) is zero-duration. A transport
+    failure marks the current and all remaining trains failed.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -236,7 +221,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
                 train_id,
                 spec,
                 send_ts=[float(t) for t in send_ts],
-                status=TrainStatus.COMPLETE,
+                status=TrainStatus.COMPLETE if send_ts[-1] != send_ts[0] else TrainStatus.ZERO_DURATION,
             )
         )
         # Linger one gap past the last packet so a co-resident receiver

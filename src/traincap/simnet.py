@@ -167,8 +167,10 @@ def simulate_train(
 ) -> tuple[SimTrace, TrainRecord]:
     """Run one train through the path model.
 
-    Returns the full event trace and a receiver-complete TrainRecord
-    carrying the recorded sender/receiver timestamps (floats). With
+    Returns the full event trace and a TrainRecord carrying the recorded
+    sender/receiver timestamps (floats): complete, or zero-duration when
+    one batch stamps the whole train alike (the send span, on a rising
+    schedule, is always positive). With
     ``cfg.jitter`` nonzero an explicit ``rng`` must be supplied; without
     jitter the simulation is a pure function of its arguments.
     """
@@ -253,7 +255,7 @@ def simulate_train(
         send_ts=sender_ts,
         recv_ts=recv_ts,
         received_seqs=list(range(n)),
-        status=TrainStatus.COMPLETE,
+        status=TrainStatus.COMPLETE if recv_ts[-1] != recv_ts[0] else TrainStatus.ZERO_DURATION,
     )
     return trace, record
 

@@ -30,6 +30,8 @@ class InvalidTrainError(ValueError):
 
 
 class TrainStatus(str, enum.Enum):
+    """A train's verdict, set once by whatever makes its record."""
+
     COMPLETE = "complete"
     LOSSY = "lossy"
     REORDERED = "reordered"
@@ -116,11 +118,11 @@ def estimate_receive_rate(rec: TrainRecord) -> float:
     """Receive rate in bits/s from the first and last receive timestamps.
 
     Only complete trains are rated: a missing or reordered packet would
-    silently bias the bit count behind the formula.
+    silently bias the bit count behind the formula. A zero-duration train
+    has every packet but no span, so it raises DegenerateDurationError.
     """
-    if rec.status is not TrainStatus.COMPLETE or rec.recv_ts is None:
-        raise InvalidTrainError("invalid train")
-    if len(rec.recv_ts) < 2:
+    in_order = rec.status is TrainStatus.COMPLETE or rec.status is TrainStatus.ZERO_DURATION
+    if not in_order or rec.recv_ts is None or len(rec.recv_ts) < 2:
         raise InvalidTrainError("invalid train")
     return _first_last_rate(rec.recv_ts, rec.spec.geometry.counted_bits)
 
@@ -130,9 +132,10 @@ def validate_train(
 ) -> TrainRecord:
     """Classify received (seq, recv_ts) pairs against the expected spec.
 
-    complete: every seq 0..N-1 seen exactly once, in order
-    lossy:    at least one seq missing
-    reordered: all present but duplicated or out of order
+    complete:      every seq 0..N-1 seen exactly once, in order
+    zero-duration: complete, but the first and last stamps are equal
+    lossy:         at least one seq missing
+    reordered:     all present but duplicated or out of order
     """
     seqs = [seq for seq, _ in arrivals]
     ts = [t for _, t in arrivals]
@@ -142,7 +145,7 @@ def validate_train(
     if missing:
         status = TrainStatus.LOSSY
     elif seqs == list(range(expected)):
-        status = TrainStatus.COMPLETE
+        status = TrainStatus.COMPLETE if ts[-1] != ts[0] else TrainStatus.ZERO_DURATION
     else:
         status = TrainStatus.REORDERED
     return TrainRecord(

@@ -33,6 +33,7 @@ _FCS = 4
 _PREAMBLE = 8
 _IFG = 12
 _ETH_IP_UDP_HEADERS = 14 + 20 + 8
+MIN_FRAME_SIZE = _ETH_IP_UDP_HEADERS + HEADER_SIZE
 
 _NS_PER_S = 1_000_000_000
 _MAX_NS = (1 << 32) * _NS_PER_S  # seconds field is 32-bit
@@ -94,7 +95,7 @@ class FrameGeometry:
     frame_size: int = 1514
 
     def __post_init__(self) -> None:
-        if self.payload_size < HEADER_SIZE:
+        if self.frame_size < MIN_FRAME_SIZE:
             raise ValueError("frame too small for probe header")
 
     @property

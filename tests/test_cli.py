@@ -30,6 +30,15 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def run_failing(capsys, *argv):
+    """Exit code and captured output of a command expected to fail cleanly."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr()
+
+
 class TestParsers:
     def test_rate_forms(self):
         assert parse_rate("10e9") == 10_000_000_000
@@ -115,6 +124,24 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert out == ""
 
+    def test_zero_receive_span_rows(self, capsys):
+        # mapped-batch stamps 20 packets in one batch of 25: no receive
+        # rate, a send rate, and the verdict simulate_train gave.
+        args = ("simulate", "--preset", "mapped-batch", "--rate", "10G",
+                "--packets", "20", "--trains", "2")
+        _, csv_out = run_cli(capsys, *args)
+        assert csv_out.splitlines() == [
+            "train_id,n_packets,desired_rate_bps,est_send_rate_bps,est_recv_rate_bps,status",
+            "0,20,10000000000,9874860909.013096,,zero-duration",
+            "1,20,10000000000,9874860909.013096,,zero-duration",
+        ]
+        assert cli_json(capsys, *args) == [
+            {"train_id": i, "n_packets": 20, "desired_rate_bps": 10_000_000_000,
+             "est_send_rate_bps": 9874860909.013096, "est_recv_rate_bps": None,
+             "status": "zero-duration"}
+            for i in range(2)
+        ]
+
     def test_one_packet_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--preset", "stack", "--rate", "1G", "--packets", "1"])
@@ -176,6 +203,35 @@ class TestExitCodes:
             holder.close()
         assert code == EXIT_TRANSPORT
 
+    @pytest.mark.parametrize("env, argv", [
+        (None, ["simulate", "--preset", "stack", "--rate", "1G", "--jitter", "1.5", "--seed", "1"]),
+        (None, ["report", "--experiment", "same-method", "--jitter", "-0.1", "--seed", "1"]),
+        (None, ["report", "--experiment", "sweep", "--frame-size", "10"]),
+        (None, ["simulate", "--preset", "stack", "--rate", "1G", "--frame-size", "61"]),
+        (None, ["send", "--backend", "loopback", "--rate", "1G", "--gap-ms", "0"]),
+        (None, ["send", "--backend", "loopback", "--rate", "1G", "--gap-ms", "1e-7"]),
+        (None, ["send", "--backend", "loopback", "--rate", "1G", "--spin-window-us", "0"]),
+        (None, ["send", "--rate", "1G", "--remote", "127.0.0.1:x"]),
+        (None, ["receive", "--local", "127.0.0.1:70000"]),
+        (None, ["receive", "--local", "127.0.0.1:0", "--timeout", "nan"]),
+        (None, ["reflect", "--local", "127.0.0.1:0", "--timeout", "-1"]),
+        ("abc", ["reflect"]),
+        (None, ["simulate", "--preset", "stack", "--rate", "1e14"]),
+        (None, ["simulate", "--preset", "stack", "--rate", "inf"]),
+        (None, ["send", "--backend", "loopback", "--rate", "1G", "--trains", "1",
+                "--packets", "70000"]),
+    ], ids=["jitter-1.5", "jitter-negative", "frame-10", "frame-61", "gap-0", "gap-below-1ns",
+            "spin-window-0", "remote-port-x", "local-port-70000", "timeout-nan",
+            "timeout-negative", "env-port-abc",
+            "rate-unschedulable", "rate-inf", "packets-70000"])
+    def test_bad_option_values_are_usage_errors(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("TRAINCAP_PORT", env)
+        code, captured = run_failing(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err and "Traceback" not in captured.err
+
     def test_no_valid_trains_is_4(self, capsys):
         code, _ = run_cli(capsys, "receive", "--local", "127.0.0.1:0",
                           "--trains", "1", "--timeout", "0.2")
@@ -233,6 +289,27 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--experiment", "same-method", flag, value])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("content", [
+        None,  # no such file
+        "train_id,est_send_rate_bps,est_recv_rate_bps\n0,fast,1e9\n",
+        "train_id,est_send_rate_bps,est_recv_rate_bps\n0,1e9,inf\n",
+        "train_id,est_send_rate_bps,est_recv_rate_bps\n0,nan,1e9\n",
+        '[{"train_id": 0, "est_send_rate_bps": "fast"}]',
+        '[{"train_id": 0, "est_send_rate_bps": Infinity}]',
+        '[{"train_id": 0, "est_recv_rate_bps": NaN}]',
+        "[1, 2]",
+    ], ids=["missing", "csv-text", "csv-inf", "csv-nan", "json-text", "json-inf", "json-nan",
+            "json-not-objects"])
+    def test_bad_records_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "records"
+        if content is not None:
+            path.write_text(content)
+        code, captured = run_failing(capsys, "report", "--in", str(path))
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and str(path) in lines[0]
 
     def test_report_needs_source(self):
         with pytest.raises(SystemExit) as exc:

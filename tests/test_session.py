@@ -22,7 +22,15 @@ from traincap.session import (
     run_reflector,
     run_sender,
 )
-from traincap.train import TrainRecord, TrainSpec, TrainStatus, build_schedule
+from traincap.train import (
+    TrainRecord,
+    TrainSpec,
+    TrainStatus,
+    build_schedule,
+    estimate_receive_rate,
+    estimate_send_rate,
+    validate_train,
+)
 from traincap.transport import (
     OS_DATAGRAM,
     BackendDescriptor,
@@ -146,10 +154,19 @@ class TestApcReport:
         assert report.apc_estimate is None
 
     def test_zero_duration_marked(self):
-        rec = self._rec(0)  # all identical receive stamps
-        report = apc_report([rec])
-        assert rec.status is TrainStatus.ZERO_DURATION
-        assert report.status == "no-valid-trains"
+        # validate_train gives the verdict; apc_report only reads it.
+        spec = TrainSpec(50, FrameGeometry(1514), 1e9)
+        flat = validate_train([(i, 500) for i in range(50)], spec)
+        good = self._rec(1000.0, train_id=1)
+        lossy = validate_train([(i, i * 1000) for i in range(49)], spec)
+        records = [flat, good, lossy]
+        before = [rec.status for rec in records]
+        report = apc_report(records)
+        assert before == [TrainStatus.ZERO_DURATION, TrainStatus.COMPLETE, TrainStatus.LOSSY]
+        assert [rec.status for rec in records] == before
+        assert report.valid_count == 1
+        assert report.rates == [estimate_receive_rate(good)]
+        assert apc_report([flat]).status == "no-valid-trains"
 
 
 class TestLoopbackSession:
@@ -162,10 +179,8 @@ class TestLoopbackSession:
         assert report.status == "ok"
         for rate in report.rates:
             assert abs(rate - 1e8) / 1e8 < 0.05
-        from traincap.session import safe_send_rate
-
         for rec in sent:
-            assert abs(safe_send_rate(rec) - 1e8) / 1e8 < 0.05
+            assert abs(estimate_send_rate(rec) - 1e8) / 1e8 < 0.05
 
     def test_single_two_packet_train(self):
         params = quick_params(n_trains=1, n_packets=2)
@@ -173,9 +188,18 @@ class TestLoopbackSession:
         assert sent[0].status is TrainStatus.COMPLETE
         assert len(sent[0].send_ts) == 2
         gap = sent[0].send_ts[1] - sent[0].send_ts[0]
-        from traincap.session import safe_send_rate
+        assert estimate_send_rate(sent[0]) == 12144 * 10**9 / gap
 
-        assert safe_send_rate(sent[0]) == 12144 * 10**9 / gap
+    def test_train_too_long_for_wire_fails_at_once(self):
+        # train_len is 16 bits: the params are refused before any thread
+        # starts, not after the receiver's overall timeout.
+        threads = threading.active_count()
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="16-bit train_len"):
+            run_loopback_session(quick_params(n_trains=1, n_packets=1 << 16))
+        assert time.monotonic() - t0 < 0.5
+        assert threading.active_count() == threads
+        assert quick_params(n_packets=(1 << 16) - 1).n_packets == 65535
 
 
 class TestSenderFailure:

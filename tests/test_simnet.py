@@ -27,6 +27,7 @@ from traincap.simnet import (
 from traincap.train import (
     DegenerateDurationError,
     TrainSpec,
+    TrainStatus,
     build_schedule,
     estimate_receive_rate,
     estimate_send_rate,
@@ -118,6 +119,15 @@ class TestReceiverBatching:
         assert len(set(rec.recv_ts)) == 1
         with pytest.raises(DegenerateDurationError):
             estimate_receive_rate(rec)
+
+    def test_zero_receive_span_marked(self):
+        # mapped-batch stamps 20 packets in one batch of 25; its send
+        # side still has a span.
+        cfg = preset("mapped-batch")
+        for n, status in ((20, TrainStatus.ZERO_DURATION), (50, TrainStatus.COMPLETE)):
+            _, rec = simulate_train(build_schedule(TrainSpec(n, G1514, TEN_G), 0), cfg)
+            assert rec.status is status
+            assert estimate_send_rate(rec) > 0
 
     def test_slow_receiver_chains_busy(self):
         # B=1 but processing slower than arrivals: stamps fall behind at

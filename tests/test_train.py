@@ -201,3 +201,14 @@ class TestValidateTrain:
 
     def test_empty_is_lossy(self):
         assert validate_train([], spec()).status is TrainStatus.LOSSY
+
+    def test_flat_stamps_zero_duration(self):
+        rec = validate_train([(i, 500) for i in range(50)], spec())
+        assert rec.status is TrainStatus.ZERO_DURATION
+        with pytest.raises(DegenerateDurationError):
+            estimate_receive_rate(rec)
+        assert rec.status is TrainStatus.ZERO_DURATION
+        # Only an in-order, complete train has a duration to judge.
+        swapped = [(1, 500), (0, 500)] + [(i, 500) for i in range(2, 50)]
+        assert validate_train(swapped, spec()).status is TrainStatus.REORDERED
+        assert validate_train([(0, 500), (1, 501)], spec(n=2)).status is TrainStatus.COMPLETE
