@@ -4,6 +4,15 @@ Subcommands: send, receive, reflect, simulate, report. Results are
 emitted as OutputRecords (one per train) or report tables, in CSV or
 JSON with identical values either way.
 
+Each subcommand takes only the options it reads. All take --trains,
+--frame-size, --out and --out-file. All but reflect, which learns a
+train's length from its packets, take --packets. send, receive and
+simulate write train records and take --rate and --timestamps. send
+and receive, which can run the sender, take --gap-ms, --pacer and
+--spin-window-us. The report tables use a fixed 10 Gbit/s desired rate
+and a fixed sweep grid (10, 20, 50 and 100 packets at 1, 2.5, 5 and
+10 Gbit/s).
+
 Rates accept plain integers, scientific notation, and decimal k/M/G
 suffixes ("100M", "2.5G", "10e9"); internally rates are integer bits/s.
 The default UDP port is 8620, overridable via the TRAINCAP_PORT
@@ -11,11 +20,12 @@ environment variable or an explicit host:port.
 
 Exit codes: 0 ok, 2 usage error, 3 transport error, 4 no valid trains.
 Usage errors include option values the roles cannot run with (a jitter
-outside [0, 1), a frame too small for the probe header, a rate too fast
-to schedule, a bad port, a train too long for the 16-bit train_len, a
-gap or timeout that is not a positive finite duration) and a
-``report --in`` file that cannot be read or whose rate cells are not
-finite numbers. Each is reported on stderr, without a traceback.
+outside [0, 1), a frame too small for the probe header or, over UDP,
+too large for one datagram, a rate too fast to schedule, a bad port, a
+train too long for the 16-bit train_len, a gap or timeout that is not a
+positive finite duration) and a ``report --in`` file that cannot be
+read or whose rate cells are not finite numbers. Each is reported on
+stderr, without a traceback.
 
 With ``--backend loopback`` the send and receive commands run both roles
 in one process over an in-memory pair (two processes cannot share a
@@ -261,6 +271,20 @@ def _session_params(args: argparse.Namespace) -> SessionParams:
     )
 
 
+def _udp_descriptor(args: argparse.Namespace, **addresses) -> BackendDescriptor | None:
+    """The UDP backend a command opens, or None after a usage line on
+    stderr when its frame size does not fit one UDP datagram."""
+    try:
+        return BackendDescriptor(
+            kind=OS_DATAGRAM,
+            payload_size=FrameGeometry(args.frame_size).payload_size,
+            **addresses,
+        )
+    except ValueError as exc:
+        print(f"usage: --frame-size {args.frame_size}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_send(args: argparse.Namespace) -> int:
     params = _session_params(args)
     if args.backend == "loopback":
@@ -269,11 +293,9 @@ def cmd_send(args: argparse.Namespace) -> int:
         if not args.remote:
             print("usage: traincap send --backend udp requires --remote", file=sys.stderr)
             return EXIT_USAGE
-        descriptor = BackendDescriptor(
-            kind=OS_DATAGRAM,
-            payload_size=params.geometry.payload_size,
-            remote=args.remote,
-        )
+        descriptor = _udp_descriptor(args, remote=args.remote)
+        if descriptor is None:
+            return EXIT_USAGE
         endpoint = open_endpoint(descriptor)
         try:
             records = run_sender(params, endpoint)
@@ -288,11 +310,9 @@ def cmd_receive(args: argparse.Namespace) -> int:
     if args.backend == "loopback":
         _, records, report = run_loopback_session(params)
     else:
-        descriptor = BackendDescriptor(
-            kind=OS_DATAGRAM,
-            payload_size=params.geometry.payload_size,
-            local=args.local,
-        )
+        descriptor = _udp_descriptor(args, local=args.local)
+        if descriptor is None:
+            return EXIT_USAGE
         endpoint = open_endpoint(descriptor)
         try:
             records, report = run_receiver(
@@ -309,12 +329,10 @@ def cmd_receive(args: argparse.Namespace) -> int:
 
 
 def cmd_reflect(args: argparse.Namespace) -> int:
-    params = _session_params(args)
-    descriptor = BackendDescriptor(
-        kind=OS_DATAGRAM,
-        payload_size=params.geometry.payload_size,
-        local=args.local,
-    )
+    descriptor = _udp_descriptor(args, local=args.local)
+    if descriptor is None:
+        return EXIT_USAGE
+    params = SessionParams(n_trains=args.trains, geometry=FrameGeometry(args.frame_size))
     endpoint = open_endpoint(descriptor)
     try:
         log = run_reflector(params, endpoint, overall_timeout_ns=int(args.timeout * 1e9))
@@ -386,22 +404,30 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common(
-    p: argparse.ArgumentParser, rate_required: bool = True, max_packets: int | None = None
+    p: argparse.ArgumentParser, *, packets: bool = True, records: bool = True,
+    sender: bool = True, rate_required: bool = True, max_packets: int | None = None,
 ) -> None:
+    """Add the shared options a command reads: ``--packets`` if it builds
+    trains, ``--rate`` and ``--timestamps`` if it writes train records, and
+    the pacing options if it can run the sender."""
     p.add_argument("--trains", type=at_least(1), default=10, help="number of trains (default 10)")
-    p.add_argument("--packets", type=at_least(2, max_packets), default=50,
-                   help="packets per train (default 50)")
-    p.add_argument("--rate", type=parse_rate, required=rate_required, default=None if rate_required else 100_000_000,
-                   help="desired Ethernet-layer rate in bits/s (accepts k/M/G suffixes)")
+    if packets:
+        p.add_argument("--packets", type=at_least(2, max_packets), default=50,
+                       help="packets per train (default 50)")
+    if records:
+        p.add_argument("--rate", type=parse_rate, required=rate_required, default=None if rate_required else 100_000_000,
+                       help="desired Ethernet-layer rate in bits/s (accepts k/M/G suffixes)")
     p.add_argument("--frame-size", type=at_least(MIN_FRAME_SIZE), default=1514,
                    help="Ethernet frame size excluding FCS (default 1514)")
     p.add_argument("--out", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out-file", default=None, help="write output here instead of stdout")
-    p.add_argument("--timestamps", action="store_true", help="include per-packet timestamps")
-    p.add_argument("--gap-ms", type=duration(1e-6, "ms"), default=10.0, help="inter-train gap in ms (default 10)")
-    p.add_argument("--pacer", choices=(PURE_SPIN, HYBRID), default=HYBRID)
-    p.add_argument("--spin-window-us", type=at_least(1), default=200,
-                   help="hybrid pacer final busy-wait window in us (default 200)")
+    if records:
+        p.add_argument("--timestamps", action="store_true", help="include per-packet timestamps")
+    if sender:
+        p.add_argument("--gap-ms", type=duration(1e-6, "ms"), default=10.0, help="inter-train gap in ms (default 10)")
+        p.add_argument("--pacer", choices=(PURE_SPIN, HYBRID), default=HYBRID)
+        p.add_argument("--spin-window-us", type=at_least(1), default=200,
+                       help="hybrid pacer final busy-wait window in us (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_receive)
 
     p = sub.add_parser("reflect", help="buffer each train, then burst it back")
-    _add_common(p, rate_required=False, max_packets=MAX_TRAIN_PACKETS)
+    _add_common(p, packets=False, records=False, sender=False)
     p.add_argument("--local", type=parse_endpoint, default=":",
                    help="bind address host:port (default port 8620)")
     p.add_argument("--timeout", type=duration(1e-9, "s"), default=30.0,
@@ -436,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reflect)
 
     p = sub.add_parser("simulate", help="run trains through the deterministic path model")
-    _add_common(p)
+    _add_common(p, sender=False)
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required with --jitter)")
     p.add_argument("--jitter", type=jitter_fraction, default=0.0,
@@ -446,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="run an experiment set or summarize a records file")
-    _add_common(p, rate_required=False)
+    _add_common(p, records=False, sender=False)
     p.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
     p.add_argument("--repeats", type=at_least(1), default=10)
     p.add_argument("--seed", type=int, default=None)
@@ -466,7 +492,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("usage: --jitter requires --seed for reproducibility", file=sys.stderr)
         return EXIT_USAGE
     try:
-        build_schedule(TrainSpec(2, FrameGeometry(args.frame_size), args.rate), 0)
+        if "rate" in args:
+            build_schedule(TrainSpec(2, FrameGeometry(args.frame_size), args.rate), 0)
     except ValueError as exc:
         print(f"usage: --rate {args.rate} at --frame-size {args.frame_size}: {exc}",
               file=sys.stderr)

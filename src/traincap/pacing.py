@@ -60,16 +60,6 @@ class SlackReport:
     late: bool
 
 
-def no_sleep_horizon(cfg: PacerConfig) -> int:
-    """Distance (ns) from a deadline inside which a wait never sleeps.
-
-    Waking at ``deadline - no_sleep_horizon(cfg)`` and then waiting on
-    ``deadline`` is guaranteed to busy-wait only, so the final approach
-    is immune to sleep overshoot.
-    """
-    return cfg.hybrid_spin_window + _SLEEP_SLACK_NS if cfg.mode == HYBRID else 0
-
-
 def wait_until(deadline: int, cfg: PacerConfig = PacerConfig()) -> SlackReport:
     """Block until the monotonic clock reads at least ``deadline`` ns.
 
@@ -85,7 +75,11 @@ def wait_until(deadline: int, cfg: PacerConfig = PacerConfig()) -> SlackReport:
 
 
 def _wait(deadline: int, cfg: PacerConfig) -> int:
-    """Wait for a deadline not yet reached; return the first reading >= it."""
+    """Wait for a deadline not yet reached; return the first reading >= it.
+
+    A hybrid wait plans every sleep to end the spin window plus the timer
+    slack before the deadline, so its final stretch only spins.
+    """
     if cfg.mode == HYBRID:
         # Coarse sleep toward the spin window; leave room for timer slack
         # so an oversleep still lands before the deadline.

@@ -20,10 +20,10 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import wire
-from .pacing import PacerConfig, no_sleep_horizon, pace_send, wait_until
+from .pacing import PacerConfig, pace_send, wait_until
 from .simnet import (
     PRESET_NAMES,
     SimConfig,
@@ -64,7 +64,7 @@ class SessionParams:
     desired_rate: float = 100_000_000
     geometry: FrameGeometry = field(default_factory=FrameGeometry)
     inter_train_gap_ns: int = DEFAULT_INTER_TRAIN_GAP_NS
-    idle_timeout_ns: int = DEFAULT_IDLE_TIMEOUT_NS
+    idle_timeout_ns: ClassVar[int] = DEFAULT_IDLE_TIMEOUT_NS  # fixed, not a field
     pacer: PacerConfig = field(default_factory=PacerConfig)
     start_lead_ns: int = 4_000_000  # headroom between scheduling and first send
 
@@ -200,16 +200,13 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
             return endpoint.send(bufs[i], stamp_probe=True)
 
         schedule = build_schedule(spec, time.monotonic_ns() + params.start_lead_ns)
-        # Two-stage approach to the first deadline: a coarse sleep that
-        # stops well short of the start (a cold thread's first sleep can
-        # run milliseconds long), then a guarded wait whose final stretch
-        # never sleeps. Keeps the first packets from inheriting overshoot.
-        horizon = no_sleep_horizon(params.pacer)
-        coarse_stop = schedule.start - horizon - 2_500_000
+        # A coarse sleep stops well short of the start (a cold thread's
+        # first sleep can run milliseconds long); pace_send's own wait,
+        # whose final stretch never sleeps, then takes the first deadline.
+        coarse_stop = schedule.start - 2_500_000
         now = time.monotonic_ns()
         if coarse_stop > now:
             time.sleep((coarse_stop - now) / 1e9)
-        wait_until(schedule.start - horizon, params.pacer)
         try:
             send_ts = pace_send(schedule.send_instants, emit, params.pacer)
         except (TransportError, OSError):
@@ -241,11 +238,15 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
     source)`` tuples ``recv_from`` returned, in arrival order. A train
     ends with its ``train_len``-th datagram, the first datagram of
     another train, an idle timeout after its last datagram, or the
-    overall deadline. Non-probe datagrams are ignored. The clock is read
-    only when ``recv_from`` returns None; a datagram's own receive stamp
-    stands for now otherwise, so a flood of datagrams cannot outlast the
-    overall deadline. The overall timeout defaults to three times the
-    sender's planned duration plus 1 s.
+    overall deadline. Non-probe datagrams are ignored, and so is a late
+    datagram of a train already yielded: ids are unique within one
+    receive or reflect call, because ``run_sender`` numbers its trains
+    0..n-1. Only a datagram that would open a train pays for that check.
+
+    The clock is read only when ``recv_from`` returns None; a datagram's
+    own receive stamp stands for now otherwise, so a flood of datagrams
+    cannot outlast the overall deadline. The overall timeout defaults to
+    three times the sender's planned duration plus 1 s.
     """
     if overall_timeout_ns is None:
         overall_timeout_ns = 3 * params.expected_duration_ns() + _NS_PER_S
@@ -255,6 +256,7 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
     now = time.monotonic_ns()
     overall_deadline = deadline = now + overall_timeout_ns
     train_id = train_len = 0
+    opened: set[int] = set()
     arrivals: list[tuple[int, int]] = []
     datagrams: list[tuple] = []
     while now < overall_deadline:
@@ -271,10 +273,13 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
             seq, got_id, got_len = peek(got[0])
         except ValueError:
             continue
-        if arrivals and got_id != train_id:
-            yield train_id, train_len, arrivals, datagrams
-            arrivals, datagrams = [], []
-        if not arrivals:
+        if not arrivals or got_id != train_id:
+            if got_id in opened:
+                continue
+            opened.add(got_id)
+            if arrivals:
+                yield train_id, train_len, arrivals, datagrams
+                arrivals, datagrams = [], []
             train_id, train_len = got_id, got_len
         arrivals.append((seq, now))
         datagrams.append(got)
@@ -327,9 +332,9 @@ def run_reflector(
     The first reflected packet of a train leaves strictly after its last
     buffered packet arrived, so reflection work never perturbs inbound
     timestamps. A train stalled for ``idle_timeout_ns`` (or interrupted
-    by a new train_id) is reflected as-is and flagged partial. Each
-    packet goes back to its source in the buffer it arrived in, with its
-    ``send_ts`` patched by the endpoint.
+    by a new train_id) is reflected as-is and flagged partial, and its
+    later datagrams are dropped. Each packet goes back to its source in
+    the buffer it arrived in, with its ``send_ts`` patched by the endpoint.
     """
     send = endpoint.send
     log: list[ReflectionRecord] = []
@@ -383,10 +388,10 @@ def run_paired(
 
 
 def run_loopback_session(
-    params: SessionParams, delay_ns: int = 0
+    params: SessionParams,
 ) -> tuple[list[TrainRecord], list[TrainRecord], ApcReport]:
     """Sender and receiver threads over an in-memory loopback pair."""
-    a, b = loopback_pair(params.geometry.payload_size, delay_ns)
+    a, b = loopback_pair(params.geometry.payload_size)
     try:
         return run_paired(params, a, b)
     finally:
@@ -405,6 +410,9 @@ class ExperimentReport:
 
 
 EXPERIMENT_KINDS = ("same-method", "sweep", "sender-vs-reference", "receiver-vs-reference")
+TABLE_DESIRED_RATE = 10_000_000_000  # the *-vs-reference tables' desired rate
+SWEEP_TRAIN_LENGTHS = (10, 20, 50, 100)
+SWEEP_RATES = (1e9, 2.5e9, 5e9, 10e9)
 
 
 def _stats_row(stats: RateStats) -> dict:
@@ -457,21 +465,18 @@ def run_experiment(
     n_packets: int = 50,
     n_trains: int = 10,
     repeats: int = 10,
-    desired_rate: float = 10_000_000_000,
     frame_size: int = 1514,
-    train_lengths: Sequence[int] = (10, 20, 50, 100),
-    rates: Sequence[float] = (1e9, 2.5e9, 5e9, 10e9),
     jitter: float = 0.0,
     seed: int | None = None,
 ) -> ExperimentReport:
     """Run one of the four simulated experiment sets.
 
     same-method:           each preset at both ends, sending flat out.
-    sweep:                 train-length x desired-rate grid on the
+    sweep:                 SWEEP_TRAIN_LENGTHS x SWEEP_RATES grid on the
                            timestamp-latency study config.
-    sender-vs-reference:   each preset sending to the bypass receiver;
-                           the reference receiver's estimate stands in
-                           for the actual send rate.
+    sender-vs-reference:   each preset sending to the bypass receiver at
+                           TABLE_DESIRED_RATE; the reference receiver's
+                           estimate stands in for the actual send rate.
     receiver-vs-reference: bypass sender into each preset's receiver.
 
     Identical arguments (including the seed) reproduce identical tables,
@@ -489,7 +494,7 @@ def run_experiment(
 
     if kind == "sweep":
         cfg = replace(sweep_study_config(frame_size), jitter=jitter)
-        for cell in sweep(train_lengths, rates, cfg, rng=rng):
+        for cell in sweep(SWEEP_TRAIN_LENGTHS, SWEEP_RATES, cfg, rng=rng):
             rows.append(
                 {
                     "n_packets": cell.n_packets,
@@ -509,11 +514,11 @@ def run_experiment(
             label_est, label_act = "est_send", "est_recv"
         elif kind == "sender-vs-reference":
             cfg = replace(combine(base, bypass), jitter=jitter)
-            rate = desired_rate
+            rate = TABLE_DESIRED_RATE
             label_est, label_act = "est_send", "actual_send"
         else:  # receiver-vs-reference
             cfg = replace(combine(bypass, base), jitter=jitter)
-            rate = desired_rate
+            rate = TABLE_DESIRED_RATE
             label_est, label_act = "est_recv", "actual_recv"
         try:
             send_means, recv_means = _simulated_rep_means(

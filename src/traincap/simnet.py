@@ -128,23 +128,19 @@ def preset(name: str, frame_size: int = 1514) -> SimConfig:
     return SimConfig(geometry=FrameGeometry(frame_size), **params)
 
 
-def sweep_study_config(
-    frame_size: int = 1514,
-    ts_latency_ns: float = 500.0,
-    link_capacity: float = 12_000_000_000,
-) -> SimConfig:
+def sweep_study_config(frame_size: int = 1514) -> SimConfig:
     """Config for train-length/rate sweeps isolating timestamp latencies.
 
     A near-ideal I/O path (no per-packet processing, no batching) whose
-    only distortions are the first/last timestamp latencies. The link is
-    given headroom above the swept rates so that estimates reflect the
-    timestamping artifacts alone, not the link ceiling.
+    only distortions are 500 ns first/last timestamp latencies. The
+    12 Gbit/s link leaves headroom above the swept rates so that estimates
+    reflect the timestamping artifacts alone, not the link ceiling.
     """
     return SimConfig(
-        link_capacity=link_capacity,
+        link_capacity=12_000_000_000,
         geometry=FrameGeometry(frame_size),
-        d_ts_last=ts_latency_ns,
-        d_ts_first_recv=ts_latency_ns,
+        d_ts_last=500.0,
+        d_ts_first_recv=500.0,
     )
 
 
@@ -272,17 +268,16 @@ def sweep(
     train_lengths: Sequence[int],
     rates: Sequence[float],
     cfg: SimConfig,
-    start: int = 0,
     rng: random.Random | None = None,
 ) -> list[SweepCell]:
-    """Simulate one train per (train length, desired rate) grid cell."""
+    """Simulate one train per (train length, desired rate) grid cell, from time 0."""
     if not train_lengths or not rates:
         raise ValueError("sweep grid must be non-empty")
     cells = []
     for n in train_lengths:
         for rate in rates:
             spec = TrainSpec(n_packets=n, geometry=cfg.geometry, desired_rate=rate)
-            _, rec = simulate_train(build_schedule(spec, start), cfg, rng=rng)
+            _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
             cells.append(
                 SweepCell(
                     n_packets=n,

@@ -54,6 +54,7 @@ DEFAULT_PORT = 8620
 OS_DATAGRAM = "os-datagram"
 
 _RECV_BUFFER_TRAINS = 4  # kernel buffer sized for a few full trains
+MAX_UDP_PAYLOAD = 65_507  # 65,535 B IPv4 datagram less 20 B IP and 8 B UDP headers
 
 
 class TransportError(OSError):
@@ -62,7 +63,8 @@ class TransportError(OSError):
 
 @dataclass(frozen=True)
 class BackendDescriptor:
-    """What to open: backend kind, endpoints, and payload size."""
+    """What to open: backend kind, endpoints, and a payload size that
+    carries the probe header and fits one UDP datagram."""
 
     kind: str
     payload_size: int
@@ -73,6 +75,8 @@ class BackendDescriptor:
         if self.kind != OS_DATAGRAM:
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         wire.require_payload_size(self.payload_size)
+        if self.payload_size > MAX_UDP_PAYLOAD:
+            raise ValueError(f"payload of {self.payload_size} B exceeds UDP's {MAX_UDP_PAYLOAD} B")
 
 
 @dataclass(frozen=True)

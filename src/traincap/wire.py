@@ -137,16 +137,10 @@ def encode_probe(p: ProbePacket, payload_size: int) -> bytes:
     """Encode a probe into exactly ``payload_size`` bytes (zero padded)."""
     require_payload_size(payload_size)
     buf = bytearray(payload_size)
-    encode_probe_into(p, buf)
-    return bytes(buf)
-
-
-def encode_probe_into(p: ProbePacket, buf: bytearray, offset: int = 0) -> None:
-    """Write the 20-byte header into a pre-allocated buffer."""
     struct.pack_into(
         HEADER_FORMAT,
         buf,
-        offset,
+        0,
         p.seq,
         p.send_ts.seconds,
         p.send_ts.fraction,
@@ -154,6 +148,7 @@ def encode_probe_into(p: ProbePacket, buf: bytearray, offset: int = 0) -> None:
         p.train_id,
         p.train_len,
     )
+    return bytes(buf)
 
 
 def patch_send_ts(buf: bytearray, ts: NtpTimestamp, offset: int = 0) -> None:

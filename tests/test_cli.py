@@ -9,15 +9,21 @@ import json
 
 import pytest
 
+from traincap import cli
 from traincap.cli import (
     EXIT_NO_VALID_TRAINS,
     EXIT_TRANSPORT,
     EXIT_USAGE,
+    build_parser,
     main,
     parse_endpoint,
     parse_rate,
 )
 from traincap.transport import BackendDescriptor, OS_DATAGRAM, UdpEndpoint
+
+
+# A reflector that returns at once should a case parse after all.
+REFLECT = ["reflect", "--local", "127.0.0.1:0", "--timeout", "0.1"]
 
 
 def run_cli(capsys, *argv):
@@ -220,11 +226,20 @@ class TestExitCodes:
         (None, ["simulate", "--preset", "stack", "--rate", "inf"]),
         (None, ["send", "--backend", "loopback", "--rate", "1G", "--trains", "1",
                 "--packets", "70000"]),
+        (None, ["send", "--remote", "127.0.0.1:9", "--frame-size", "70000", "--rate", "1M",
+                "--trains", "2", "--packets", "2"]),
+        (None, ["receive", "--local", "127.0.0.1:0", "--timeout", "0.1", "--frame-size", "65550"]),
+        (None, [*REFLECT, "--frame-size", "65550"]),
     ], ids=["jitter-1.5", "jitter-negative", "frame-10", "frame-61", "gap-0", "gap-below-1ns",
             "spin-window-0", "remote-port-x", "local-port-70000", "timeout-nan",
             "timeout-negative", "env-port-abc",
-            "rate-unschedulable", "rate-inf", "packets-70000"])
+            "rate-unschedulable", "rate-inf", "packets-70000",
+            "send-frame-70000", "receive-frame-65550", "reflect-frame-65550"])
     def test_bad_option_values_are_usage_errors(self, capsys, monkeypatch, env, argv):
+        def refuse(descriptor):
+            raise AssertionError("a usage error opened a socket")
+
+        monkeypatch.setattr(cli, "open_endpoint", refuse)
         if env is not None:
             monkeypatch.setenv("TRAINCAP_PORT", env)
         code, captured = run_failing(capsys, *argv)
@@ -315,6 +330,57 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report"])
         assert exc.value.code == 2
+
+
+class TestCommandOptions:
+    """Each subcommand declares only the options it reads."""
+
+    @staticmethod
+    def _subparsers():
+        (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_option_strings_per_command(self):
+        common = ["-h", "--help", "--trains", "--frame-size", "--out", "--out-file"]
+        records = ["--rate", "--timestamps"]
+        sender = ["--gap-ms", "--pacer", "--spin-window-us"]
+        expected = {
+            "send": [*common, "--packets", *records, *sender, "--backend", "--remote"],
+            "receive": [*common, "--packets", *records, *sender, "--backend", "--local",
+                        "--timeout"],
+            "reflect": [*common, "--local", "--timeout"],
+            "simulate": [*common, "--packets", *records, "--preset", "--seed", "--jitter",
+                         "--link-capacity"],
+            "report": [*common, "--packets", "--experiment", "--repeats", "--seed", "--jitter",
+                       "--in"],
+        }
+        got = {
+            name: sorted(s for a in parser._actions for s in a.option_strings)
+            for name, parser in self._subparsers().items()
+        }
+        assert got == {name: sorted(opts) for name, opts in expected.items()}
+
+    @pytest.mark.parametrize("argv", [
+        [*REFLECT, "--packets", "7"],
+        [*REFLECT, "--rate", "5G"],
+        [*REFLECT, "--timestamps"],
+        [*REFLECT, "--gap-ms", "3"],
+        [*REFLECT, "--pacer", "pure-spin"],
+        [*REFLECT, "--spin-window-us", "100"],
+        ["simulate", "--preset", "stack", "--rate", "1G", "--gap-ms", "3"],
+        ["simulate", "--preset", "stack", "--rate", "1G", "--pacer", "pure-spin"],
+        ["simulate", "--preset", "stack", "--rate", "1G", "--spin-window-us", "100"],
+        ["report", "--experiment", "sender-vs-reference", "--rate", "2.5G"],
+        ["report", "--experiment", "same-method", "--timestamps"],
+        ["report", "--experiment", "same-method", "--gap-ms", "3"],
+        ["report", "--experiment", "same-method", "--pacer", "pure-spin"],
+        ["report", "--experiment", "same-method", "--spin-window-us", "100"],
+    ], ids=lambda argv: argv[0] + next(a for a in reversed(argv) if a.startswith("--")))
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        code, captured = run_failing(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
 
 def cli_json(capsys, *argv):

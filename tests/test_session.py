@@ -11,7 +11,7 @@ import pytest
 
 from oracles import stats_oracle
 from traincap import pacing, session, simnet, transport, wire
-from traincap.pacing import PURE_SPIN, PacerConfig
+from traincap.pacing import HYBRID, PURE_SPIN, PacerConfig
 from traincap.session import (
     SessionParams,
     aggregate_stats,
@@ -225,6 +225,45 @@ class TestSenderFailure:
         ]
 
 
+class TestFirstDeadlineApproach:
+    def test_hybrid_sender_never_sleeps_into_the_spin_window(self, monkeypatch):
+        """Every sleep of a hybrid sender is planned to end at least one spin
+        window before the first scheduled instant, and no packet leaves
+        before that instant."""
+        params = quick_params(n_trains=1, n_packets=10, desired_rate=1e9,
+                              pacer=PacerConfig(mode=HYBRID))
+        sleeps, schedules, last_read = [], [], [0]
+        real_clock, real_sleep = time.monotonic_ns, time.sleep
+
+        def clock():
+            last_read[0] = real_clock()
+            return last_read[0]
+
+        def sleep(seconds):
+            # The sender's own last reading, so a host pause cannot skew it.
+            sleeps.append((last_read[0], round(seconds * 1e9)))
+            real_sleep(seconds)
+
+        def schedule(spec, start):
+            schedules.append(build_schedule(spec, start))
+            return schedules[-1]
+
+        monkeypatch.setattr(time, "monotonic_ns", clock)
+        monkeypatch.setattr(time, "sleep", sleep)
+        monkeypatch.setattr(session, "build_schedule", schedule)
+        a, b = loopback_pair(params.geometry.payload_size)
+        try:
+            (record,) = run_sender(params, a)
+        finally:
+            a.close()
+            b.close()
+        (first,) = [sched.start for sched in schedules]
+        assert sleeps
+        for started, planned in sleeps:
+            assert started + planned <= first - params.pacer.hybrid_spin_window
+        assert record.send_ts[0] >= first
+
+
 class TestInBandStamps:
     """Every sent and reflected probe carries its recorded stamp in send_ts."""
 
@@ -421,6 +460,79 @@ class TestOverallDeadlineUnderFlood:
         # Returned while the flood was still on. Not a tight timing bound:
         # the host pauses for milliseconds.
         assert time.monotonic_ns() < flood.until
+
+
+class TestLateDatagrams:
+    """A late datagram of a train already yielded opens no phantom train.
+
+    A scripted endpoint replays probes with synthetic receive stamps, and
+    a None in the script is an idle timeout (nothing arrived before the
+    deadline), so no case waits on the wall clock. Both trains have 10
+    packets and the roles stop after two trains.
+    """
+
+    class Script:
+        def __init__(self, items):
+            self.items = list(items)
+            self.sent = []
+
+        def recv_from(self, deadline):
+            if not self.items:
+                raise AssertionError("the role read past the script")
+            return self.items.pop(0)
+
+        def send(self, payload, remote=None, *, stamp_probe=False):
+            self.sent.append(wire.peek_train_fields(payload))
+            return time.monotonic_ns()
+
+    @staticmethod
+    def _script(*parts):
+        """Datagrams of ``(train_id, seqs)`` parts, 12 us apart; None passes through."""
+        t = time.monotonic_ns()
+        items = []
+        for part in parts:
+            if part is None:
+                items.append(None)
+                continue
+            train_id, seqs = part
+            for seq in seqs:
+                t += 12_000
+                payload = bytearray(encode_probe(
+                    ProbePacket(seq=seq, send_ts=NtpTimestamp(0, 0), train_id=train_id,
+                                train_len=10),
+                    1472,
+                ))
+                items.append((payload, t, ("192.0.2.1", 9)))
+        return items
+
+    def _receive(self, *parts):
+        records, _ = run_receiver(quick_params(n_trains=2, n_packets=10),
+                                  self.Script(self._script(*parts)))
+        return [(r.train_id, r.status) for r in records]
+
+    def test_receiver_late_tail_after_idle_flush(self):
+        got = self._receive((0, range(5)), None, (0, range(5, 10)), (1, range(10)))
+        assert got == [(0, TrainStatus.LOSSY), (1, TrainStatus.COMPLETE)]
+
+    def test_receiver_duplicated_seq(self):
+        # The duplicate fills the count one packet early, so train 0 ends
+        # without seq 9; that seq then arrives late and is dropped.
+        got = self._receive((0, [0, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9]), (1, range(10)))
+        assert got == [(0, TrainStatus.LOSSY), (1, TrainStatus.COMPLETE)]
+
+    def test_reflector_late_tail(self):
+        script = self.Script(
+            self._script((0, range(5)), None, (0, range(5, 10)), (1, range(10)))
+        )
+        log = run_reflector(quick_params(n_trains=2, n_packets=10), script)
+        assert [(e.train_id, e.partial, len(e.egress_ts)) for e in log] == [
+            (0, True, 5),
+            (1, False, 10),
+        ]
+        assert [(train_id, seq) for seq, train_id, _ in script.sent] == [
+            *((0, seq) for seq in range(5)),
+            *((1, seq) for seq in range(10)),
+        ]
 
 
 class TestReceiverEdgeCases:

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from traincap.transport import (
+    MAX_UDP_PAYLOAD,
     OS_DATAGRAM,
     BackendDescriptor,
     TransportError,
@@ -30,6 +31,12 @@ class TestDescriptor:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown backend kind"):
             BackendDescriptor(kind="carrier-pigeon", payload_size=100)
+
+    def test_payload_too_large_for_udp(self):
+        assert MAX_UDP_PAYLOAD == 65_535 - 20 - 8
+        BackendDescriptor(kind=OS_DATAGRAM, payload_size=MAX_UDP_PAYLOAD)
+        with pytest.raises(ValueError, match="exceeds UDP"):
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=MAX_UDP_PAYLOAD + 1)
 
 
 class TestLoopback:
