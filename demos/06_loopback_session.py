@@ -53,7 +53,7 @@ print()
 send_rates = [r for r in (rated(estimate_send_rate, rec) for rec in sender_records) if r is not None]
 if send_rates:
     print(f"median estimated send rate: {statistics.median(send_rates) / 1e6:.2f} Mbps")
-print(f"valid trains: {apc.valid_count}/{params.n_trains}")
+print(f"valid trains: {len(apc.rates)}/{params.n_trains}")
 if apc.apc_estimate is None:
     print("available path capacity estimate: none (no complete train received)")
 else:

@@ -50,7 +50,6 @@ from .train import (
 )
 from .transport import (
     BackendDescriptor,
-    TimestampedDatagram,
     TransportError,
     loopback_pair,
     open_endpoint,

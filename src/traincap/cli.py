@@ -321,9 +321,9 @@ def cmd_receive(args: argparse.Namespace) -> int:
         finally:
             endpoint.close()
     write_rows([record_row(r, args.timestamps) for r in records], args.out, args.out_file)
-    if report.status == "no-valid-trains":
+    if report.apc_estimate is None:
         return EXIT_NO_VALID_TRAINS
-    print(f"# apc_estimate_bps={report.apc_estimate!r} valid_trains={report.valid_count}",
+    print(f"# apc_estimate_bps={report.apc_estimate!r} valid_trains={len(report.rates)}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -370,7 +370,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.experiment:
         try:
-            report = run_experiment(
+            rows = run_experiment(
                 args.experiment,
                 n_packets=args.packets,
                 n_trains=args.trains,
@@ -382,7 +382,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         except DegenerateDurationError as exc:
             print(f"no valid trains: {exc}", file=sys.stderr)
             return EXIT_NO_VALID_TRAINS
-        write_rows(report.rows, args.out, args.out_file)
+        write_rows(rows, args.out, args.out_file)
         return EXIT_OK
     try:
         rows = read_rows(args.in_file)

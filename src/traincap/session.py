@@ -110,12 +110,11 @@ class RateStats:
 
 @dataclass(frozen=True)
 class ApcReport:
-    """Available-path-capacity estimate from valid trains' receive rates."""
+    """Available-path-capacity estimate from valid trains' receive rates:
+    their median, or None when no train is valid."""
 
     rates: list[float]
-    valid_count: int
     apc_estimate: float | None
-    status: str  # "ok" or "no-valid-trains"
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,7 @@ def apc_report(records: Sequence[TrainRecord]) -> ApcReport:
         for rec in records
         if rec.status is TrainStatus.COMPLETE and rec.recv_ts
     ]
-    if not rates:
-        return ApcReport(rates=[], valid_count=0, apc_estimate=None, status="no-valid-trains")
-    return ApcReport(
-        rates=rates,
-        valid_count=len(rates),
-        apc_estimate=statistics.median(rates),
-        status="ok",
-    )
+    return ApcReport(rates=rates, apc_estimate=statistics.median(rates) if rates else None)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +225,22 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
 def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int | None):
     """Group arriving probes into trains by in-band train_id.
 
-    Yields ``(train_id, train_len, arrivals, datagrams)`` per train:
-    ``arrivals`` holds ``(seq, ts)`` and ``datagrams`` the ``(payload, ts,
-    source)`` tuples ``recv_from`` returned, in arrival order. A train
-    ends with its ``train_len``-th datagram, the first datagram of
-    another train, an idle timeout after its last datagram, or the
-    overall deadline. Non-probe datagrams are ignored, and so is a late
-    datagram of a train already yielded: ids are unique within one
-    receive or reflect call, because ``run_sender`` numbers its trains
-    0..n-1. Only a datagram that would open a train pays for that check.
+    Yields ``(train_id, train_len, arrivals, datagrams, whole)`` per
+    train: ``arrivals`` holds ``(seq, ts)`` and ``datagrams`` the
+    ``(payload, ts, source)`` tuples ``recv_from`` returned, in arrival
+    order. A train is whole, and ends, once it holds ``train_len``
+    distinct seqs; they are counted only from its ``train_len``-th
+    datagram on, so a train without duplicates counts them once.
+    Otherwise a train ends, not whole, with the first datagram of another
+    train, an idle timeout after its last datagram, or the overall
+    deadline.
+
+    A datagram that cannot be one of this session's probes is dropped:
+    one whose length is not the session's payload size, or whose seq is
+    not below its train_len. So is a late datagram of a train already
+    yielded: ids are unique within one receive or reflect call, because
+    ``run_sender`` numbers its trains 0..n-1. Only a datagram that would
+    open a train pays for that check.
 
     The clock is read only when ``recv_from`` returns None; a datagram's
     own receive stamp stands for now otherwise, so a flood of datagrams
@@ -252,6 +251,7 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
         overall_timeout_ns = 3 * params.expected_duration_ns() + _NS_PER_S
     recv_from = endpoint.recv_from
     peek = wire.peek_train_fields
+    payload_size = params.geometry.payload_size
     idle_timeout = params.idle_timeout_ns
     now = time.monotonic_ns()
     overall_deadline = deadline = now + overall_timeout_ns
@@ -263,34 +263,35 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
         got = recv_from(deadline)
         if got is None:
             if arrivals:
-                yield train_id, train_len, arrivals, datagrams
+                yield train_id, train_len, arrivals, datagrams, False
                 arrivals, datagrams = [], []
                 deadline = overall_deadline
             now = time.monotonic_ns()
             continue
         now = got[1]
-        try:
-            seq, got_id, got_len = peek(got[0])
-        except ValueError:
+        if len(got[0]) != payload_size:
+            continue
+        seq, got_id, got_len = peek(got[0])
+        if seq >= got_len:
             continue
         if not arrivals or got_id != train_id:
             if got_id in opened:
                 continue
             opened.add(got_id)
             if arrivals:
-                yield train_id, train_len, arrivals, datagrams
+                yield train_id, train_len, arrivals, datagrams, False
                 arrivals, datagrams = [], []
             train_id, train_len = got_id, got_len
         arrivals.append((seq, now))
         datagrams.append(got)
-        if len(arrivals) >= train_len:
-            yield train_id, train_len, arrivals, datagrams
+        if len(arrivals) >= train_len and len({s for s, _ in arrivals}) >= train_len:
+            yield train_id, train_len, arrivals, datagrams, True
             arrivals, datagrams = [], []
             deadline = overall_deadline
         else:
             deadline = min(overall_deadline, now + idle_timeout)
     if arrivals:
-        yield train_id, train_len, arrivals, datagrams
+        yield train_id, train_len, arrivals, datagrams, False
 
 
 def run_receiver(
@@ -302,12 +303,13 @@ def run_receiver(
 
     Each train is stored in full (all ``train_len`` sequence numbers, or
     an idle timeout, or the next train's first packet) before any rate is
-    computed. Non-probe datagrams are ignored, and so are trains that
-    announce fewer than 2 packets.
+    computed. Datagrams that cannot be this session's probes are dropped
+    (see ``_trains``), and so are trains that announce fewer than 2
+    packets.
     """
     records: list[TrainRecord] = []
     trains = _trains(params, endpoint, overall_timeout_ns)
-    for train_id, train_len, arrivals, _ in trains:
+    for train_id, train_len, arrivals, _, _ in trains:
         if train_len < 2:
             continue
         spec = TrainSpec(
@@ -331,15 +333,16 @@ def run_reflector(
 
     The first reflected packet of a train leaves strictly after its last
     buffered packet arrived, so reflection work never perturbs inbound
-    timestamps. A train stalled for ``idle_timeout_ns`` (or interrupted
-    by a new train_id) is reflected as-is and flagged partial, and its
-    later datagrams are dropped. Each packet goes back to its source in
-    the buffer it arrived in, with its ``send_ts`` patched by the endpoint.
+    timestamps. A train that does not hold all its seqs when it stalls
+    for ``idle_timeout_ns`` (or is interrupted by a new train_id) is
+    reflected as-is and flagged partial, and its later datagrams are
+    dropped. Each packet goes back to its source in the buffer it
+    arrived in, with its ``send_ts`` patched by the endpoint.
     """
     send = endpoint.send
     log: list[ReflectionRecord] = []
     trains = _trains(params, endpoint, overall_timeout_ns)
-    for train_id, train_len, arrivals, datagrams in trains:
+    for train_id, train_len, arrivals, datagrams, whole in trains:
         egress = [send(payload, source, stamp_probe=True) for payload, _, source in datagrams]
         log.append(
             ReflectionRecord(
@@ -347,7 +350,7 @@ def run_reflector(
                 n_expected=train_len,
                 ingress_ts=[ts for _, ts in arrivals],
                 egress_ts=egress,
-                partial=len(arrivals) < train_len,
+                partial=not whole,
             )
         )
         if len(log) >= params.n_trains:
@@ -401,12 +404,6 @@ def run_loopback_session(
 
 # ---------------------------------------------------------------------------
 # Simulation experiment sets
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    kind: str
-    rows: list[dict]
 
 
 EXPERIMENT_KINDS = ("same-method", "sweep", "sender-vs-reference", "receiver-vs-reference")
@@ -468,8 +465,8 @@ def run_experiment(
     frame_size: int = 1514,
     jitter: float = 0.0,
     seed: int | None = None,
-) -> ExperimentReport:
-    """Run one of the four simulated experiment sets.
+) -> list[dict]:
+    """Run one of the four simulated experiment sets; return its table rows.
 
     same-method:           each preset at both ends, sending flat out.
     sweep:                 SWEEP_TRAIN_LENGTHS x SWEEP_RATES grid on the
@@ -503,7 +500,7 @@ def run_experiment(
                     "est_recv_rate_bps": cell.est_recv,
                 }
             )
-        return ExperimentReport(kind, rows)
+        return rows
 
     bypass = preset("bypass", frame_size)
     for name in presets:
@@ -539,4 +536,4 @@ def run_experiment(
             est_means, actual_means = send_means, recv_means
         rows.append({"preset": name, "metric": label_est, **_stats_row(aggregate_stats(est_means))})
         rows.append({"preset": name, "metric": label_act, **_stats_row(aggregate_stats(actual_means))})
-    return ExperimentReport(kind, rows)
+    return rows

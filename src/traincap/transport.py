@@ -2,10 +2,10 @@
 
 Two real backends share one endpoint contract:
 
-* ``loopback`` — an in-memory pair of endpoints joined by FIFO queues
-  with a configurable, deterministic delivery delay. Order and content
-  are preserved exactly, and receive timestamps are the deterministic
-  delivery instants, free of receiver-side scheduling noise.
+* ``loopback`` — an in-memory pair of endpoints joined by FIFO queues.
+  Order and content are preserved exactly, and a datagram's receive
+  timestamp is its send timestamp, free of receiver-side scheduling
+  noise.
 * ``os-datagram`` — a UDP socket. The portable OS stack is the one real
   transport; kernel-bypass style paths are modeled in :mod:`.simnet`.
 
@@ -28,10 +28,11 @@ the datagram's bytes copied once, out of UDP's one reusable receive
 buffer (or, on loopback, the copy ``send`` queued), so a caller may keep
 it across later receives and patch it in place. ``ts`` is one clock
 reading taken just after ``recvfrom_into`` returns, before the copy (on
-loopback, the delivery instant). ``source`` is the sender's address, or
-None on loopback. This is the whole per-datagram receive path of the
+loopback, the send stamp). ``source`` is the sender's address, or None
+on loopback. This is the whole per-datagram receive path of the
 receiver and reflector roles: one ``recvfrom_into``, one clock read, one
-copy. ``recv(deadline)`` wraps it in a :class:`TimestampedDatagram`.
+copy. It is the one receive form; ``UdpEndpoint.recv`` is another name
+for it.
 
 Ownership: an endpoint may be used by one sending thread and one
 receiving thread concurrently, and not shared further.
@@ -79,16 +80,6 @@ class BackendDescriptor:
             raise ValueError(f"payload of {self.payload_size} B exceeds UDP's {MAX_UDP_PAYLOAD} B")
 
 
-@dataclass(frozen=True)
-class TimestampedDatagram:
-    payload: bytes
-    ts: int  # monotonic ns, read just after delivery
-
-
-def _datagram(got: tuple[bytearray, int, object] | None) -> TimestampedDatagram | None:
-    return None if got is None else TimestampedDatagram(bytes(got[0]), got[1])
-
-
 class _SendStamper:
     """Strictly increasing monotonic send stamps for one endpoint."""
 
@@ -106,8 +97,7 @@ class _SendStamper:
 class LoopbackEndpoint:
     """One side of an in-memory datagram pair."""
 
-    def __init__(self, delay_ns: int = 0) -> None:
-        self._delay_ns = delay_ns
+    def __init__(self) -> None:
         self._queue: collections.deque[tuple[int, bytearray]] = collections.deque()
         self._cond = threading.Condition()
         self._peer: Optional[LoopbackEndpoint] = None
@@ -127,30 +117,23 @@ class LoopbackEndpoint:
         ts = self._stamper.stamp()
         if stamp_probe:
             wire.patch_send_ns(payload, ts)
-        ready = ts + self._peer._delay_ns
         with self._peer._cond:
-            self._peer._queue.append((ready, bytearray(payload)))
+            self._peer._queue.append((ts, bytearray(payload)))
             self._peer._cond.notify()
         return ts
 
-    def recv(self, deadline: int) -> TimestampedDatagram | None:
-        return _datagram(self.recv_from(deadline))
-
     def recv_from(self, deadline: int) -> tuple[bytearray, int, None] | None:
-        # The receive timestamp is the deterministic delivery instant
-        # (send stamp + configured delay), not the dequeue time: the
-        # in-memory medium exists to give tests a noise-free path, so
+        # The receive timestamp is the send stamp, not the dequeue time:
+        # the in-memory medium exists to give tests a noise-free path, so
         # scheduler lag on the draining thread must not distort it.
         with self._cond:
-            while True:
-                now = time.monotonic_ns()
-                if self._queue and self._queue[0][0] <= now:
-                    ready, payload = self._queue.popleft()
-                    return payload, ready, None
-                if now >= deadline:
+            while not self._queue:
+                remaining = deadline - time.monotonic_ns()
+                if remaining <= 0:
                     return None
-                wake = deadline if not self._queue else min(deadline, self._queue[0][0])
-                self._cond.wait(max(wake - now, 1) / 1e9)
+                self._cond.wait(remaining / 1e9)
+            ts, payload = self._queue.popleft()
+            return payload, ts, None
 
     def close(self) -> None:
         with self._cond:
@@ -163,7 +146,6 @@ class UdpEndpoint:
 
     def __init__(self, descriptor: BackendDescriptor) -> None:
         self._remote = descriptor.remote
-        self._payload_size = descriptor.payload_size
         self._stamper = _SendStamper()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
@@ -205,9 +187,6 @@ class UdpEndpoint:
             raise TransportError(f"send failed: {exc}") from exc
         return ts
 
-    def recv(self, deadline: int) -> TimestampedDatagram | None:
-        return _datagram(self.recv_from(deadline))
-
     def recv_from(self, deadline: int) -> tuple[bytearray, int, tuple[str, int]] | None:
         """The next datagram as ``(payload, ts, source)``; see the module docstring."""
         sock, buf = self._sock, self._recv_buf
@@ -223,6 +202,8 @@ class UdpEndpoint:
             ts = time.monotonic_ns()
             return buf[:n], ts, addr
 
+    recv = recv_from  # the name bench/workloads.py and bench/tracing.py look up
+
     def close(self) -> None:
         self._sock.close()
 
@@ -230,13 +211,11 @@ class UdpEndpoint:
 Endpoint = LoopbackEndpoint | UdpEndpoint
 
 
-def loopback_pair(
-    payload_size: int, delay_ns: int = 0
-) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
+def loopback_pair(payload_size: int) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
     """Two connected in-memory endpoints; each receives what the other sends."""
     wire.require_payload_size(payload_size)
-    a = LoopbackEndpoint(delay_ns)
-    b = LoopbackEndpoint(delay_ns)
+    a = LoopbackEndpoint()
+    b = LoopbackEndpoint()
     a._peer = b
     b._peer = a
     return a, b

@@ -151,13 +151,13 @@ def encode_probe(p: ProbePacket, payload_size: int) -> bytes:
     return bytes(buf)
 
 
-def patch_send_ts(buf: bytearray, ts: NtpTimestamp, offset: int = 0) -> None:
+def patch_send_ts(buf: bytearray, ts: NtpTimestamp) -> None:
     """Overwrite just the timestamp field of an already-encoded probe."""
-    _SEND_TS.pack_into(buf, offset + 4, ts.seconds, ts.fraction)
+    _SEND_TS.pack_into(buf, 4, ts.seconds, ts.fraction)
 
 
-def patch_send_ns(buf: bytearray, t: int, offset: int = 0) -> None:
-    """``patch_send_ts(buf, ns_to_ntp(t), offset)`` without building objects.
+def patch_send_ns(buf: bytearray, t: int) -> None:
+    """``patch_send_ts(buf, ns_to_ntp(t))`` without building objects.
 
     Same bytes, and the same ``ValueError`` for an out-of-range ``t``.
     It repeats :func:`ns_to_ntp`'s arithmetic inline because it runs once
@@ -168,9 +168,7 @@ def patch_send_ns(buf: bytearray, t: int, offset: int = 0) -> None:
     if t >= _MAX_NS:
         raise ValueError("timestamp beyond 32-bit seconds range")
     seconds, rem = divmod(t, _NS_PER_S)
-    _SEND_TS.pack_into(
-        buf, offset + 4, seconds, (rem * (1 << 32) + _NS_PER_S // 2) // _NS_PER_S
-    )
+    _SEND_TS.pack_into(buf, 4, seconds, (rem * (1 << 32) + _NS_PER_S // 2) // _NS_PER_S)
 
 
 def decode_probe(data: bytes) -> ProbePacket:
