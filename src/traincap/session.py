@@ -52,6 +52,7 @@ _NS_PER_S = 1_000_000_000
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
 _MAX_LINGER_NS = 2_000_000  # the sender's wait past a train's last packet
+_WARM_UP_LEAD_NS = 50_000  # the sender's warm-up send, ahead of a train's first deadline
 MAX_TRAIN_PACKETS = (1 << 16) - 1  # train_len is a 16-bit wire field
 
 
@@ -164,6 +165,13 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     the packet's send stamp. A train whose first and last stamps are
     equal (a clock too coarse for its span) is zero-duration. A transport
     failure marks the current and all remaining trains failed.
+
+    Before each train the sender sleeps coarsely, waits until a fixed
+    lead (50 us) before the first deadline and calls
+    ``endpoint.warm_up()``, so a cold first ``sendto`` (about 50 us on a
+    localhost UDP socket) is paid outside the train's span instead of
+    between its first two stamps. A warm-up that fails is ignored: the
+    train's own sends report a real socket fault.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -193,12 +201,18 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
 
         schedule = build_schedule(spec, time.monotonic_ns() + params.start_lead_ns)
         # A coarse sleep stops well short of the start (a cold thread's
-        # first sleep can run milliseconds long); pace_send's own wait,
-        # whose final stretch never sleeps, then takes the first deadline.
+        # first sleep can run milliseconds long); a wait whose final
+        # stretch never sleeps then takes the warm-up's instant, and
+        # pace_send's own wait the first deadline.
         coarse_stop = schedule.start - 2_500_000
         now = time.monotonic_ns()
         if coarse_stop > now:
             time.sleep((coarse_stop - now) / 1e9)
+        wait_until(schedule.start - _WARM_UP_LEAD_NS, params.pacer)
+        try:
+            endpoint.warm_up()
+        except OSError:
+            pass  # a real socket fault shows in the probe sends below
         try:
             send_ts = pace_send(schedule.send_instants, emit, params.pacer)
         except (TransportError, OSError):
@@ -503,6 +517,7 @@ def run_experiment(
         return rows
 
     bypass = preset("bypass", frame_size)
+    reference: list[float] | None = None  # receiver-vs-reference's actual receive means
     for name in presets:
         base = preset(name, frame_size)
         if kind == "same-method":
@@ -527,11 +542,14 @@ def run_experiment(
                 " whose first and last timestamps coincide"
             ) from None
         if kind == "receiver-vs-reference":
-            ref_cfg = replace(combine(bypass, bypass), jitter=jitter)
-            _, actual_means = _simulated_rep_means(
-                ref_cfg, rate, n_packets, n_trains, repeats, rng
-            )
-            est_means = recv_means
+            # Without jitter the reference path gives the same means for
+            # every preset; with it, each preset draws its own, in turn.
+            if reference is None or rng is not None:
+                ref_cfg = replace(combine(bypass, bypass), jitter=jitter)
+                _, reference = _simulated_rep_means(
+                    ref_cfg, rate, n_packets, n_trains, repeats, rng
+                )
+            est_means, actual_means = recv_means, reference
         else:
             est_means, actual_means = send_means, recv_means
         rows.append({"preset": name, "metric": label_est, **_stats_row(aggregate_stats(est_means))})

@@ -21,6 +21,16 @@ carries and the stamp ``send`` returns are one clock reading. This is
 the whole per-packet send path of the sender and reflector roles: one
 clock read, one field patch, one ``sendto``.
 
+Warm-up: an endpoint's first ``sendto`` after an idle spell runs cold,
+some 50 us slower than the next, and a train's send estimate counts
+that cost against its span. ``warm_up()`` sends one payload-size
+datagram from the endpoint's own socket to a private sink socket, bound
+to ``127.0.0.1:0`` when the endpoint opens, never read and closed with
+the endpoint; ``run_sender`` calls it a fixed lead before each train's
+first deadline. The datagram never reaches the measured path, the remote
+or the endpoint's own address, and ``send`` does not see it. On loopback
+``warm_up`` does nothing.
+
 Receiving: ``recv_from(deadline)`` returns a plain ``(payload, ts,
 source)`` tuple, or None once the deadline has passed with nothing to
 deliver. ``payload`` is a writable ``bytearray`` that the caller owns:
@@ -122,6 +132,9 @@ class LoopbackEndpoint:
             self._peer._cond.notify()
         return ts
 
+    def warm_up(self) -> None:
+        """Nothing to warm: an in-memory send has no cold path."""
+
     def recv_from(self, deadline: int) -> tuple[bytearray, int, None] | None:
         # The receive timestamp is the send stamp, not the dequeue time:
         # the in-memory medium exists to give tests a noise-free path, so
@@ -148,6 +161,7 @@ class UdpEndpoint:
         self._remote = descriptor.remote
         self._stamper = _SendStamper()
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setsockopt(
                 socket.SOL_SOCKET,
@@ -156,11 +170,16 @@ class UdpEndpoint:
             )
             if descriptor.local is not None:
                 sock.bind(descriptor.local)
+            sink.bind(("127.0.0.1", 0))
         except OSError as exc:
             sock.close()
+            sink.close()
             raise TransportError(f"bind failed: {exc}") from exc
         sock.setblocking(False)
         self._sock = sock
+        self._sink = sink
+        self._sink_address = sink.getsockname()
+        self._warm_up_payload = bytes(descriptor.payload_size)
         # One persistent buffer instead of a per-packet allocation.
         self._recv_buf = bytearray(max(descriptor.payload_size, 2048))
 
@@ -187,6 +206,10 @@ class UdpEndpoint:
             raise TransportError(f"send failed: {exc}") from exc
         return ts
 
+    def warm_up(self) -> None:
+        """Send one payload-size datagram to the private sink (module docstring)."""
+        self._sock.sendto(self._warm_up_payload, self._sink_address)
+
     def recv_from(self, deadline: int) -> tuple[bytearray, int, tuple[str, int]] | None:
         """The next datagram as ``(payload, ts, source)``; see the module docstring."""
         sock, buf = self._sock, self._recv_buf
@@ -206,6 +229,7 @@ class UdpEndpoint:
 
     def close(self) -> None:
         self._sock.close()
+        self._sink.close()
 
 
 Endpoint = LoopbackEndpoint | UdpEndpoint

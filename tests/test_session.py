@@ -214,6 +214,9 @@ class TestSenderFailure:
                 raise TransportError("backend rejected datagram")
             return time.monotonic_ns()
 
+        def warm_up(self):
+            pass
+
     def test_remaining_trains_marked_failed(self):
         params = quick_params(n_trains=3, n_packets=5, desired_rate=1e9)
         endpoint = self.FlakyEndpoint(fail_after=7)  # dies during train 1
@@ -223,6 +226,89 @@ class TestSenderFailure:
             TrainStatus.FAILED,
             TrainStatus.FAILED,
         ]
+
+
+class TestWarmUp:
+    """run_sender warms the endpoint's send path once before each train."""
+
+    class Recorder:
+        """Records each warm-up and probe send in order, with its clock reading."""
+
+        def __init__(self):
+            self.calls = []
+
+        def send(self, payload, remote=None, *, stamp_probe=False):
+            seq, train_id, _ = wire.peek_train_fields(payload)
+            ts = time.monotonic_ns()
+            self.calls.append(((train_id, seq), ts))
+            return ts
+
+        def warm_up(self):
+            self.calls.append(("warm_up", time.monotonic_ns()))
+
+    def test_once_per_train_before_its_first_probe(self, monkeypatch):
+        params = quick_params(n_trains=3, n_packets=5, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000)
+        schedules = []
+
+        def schedule(spec, start):
+            schedules.append(build_schedule(spec, start))
+            return schedules[-1]
+
+        monkeypatch.setattr(session, "build_schedule", schedule)
+        ep = self.Recorder()
+        records = run_sender(params, ep)
+        assert all(r.status is TrainStatus.COMPLETE for r in records)
+        assert [call for call, _ in ep.calls] == [
+            call
+            for train_id in range(params.n_trains)
+            for call in ["warm_up", *((train_id, seq) for seq in range(params.n_packets))]
+        ]
+        warm_ups = [ts for call, ts in ep.calls if call == "warm_up"]
+        for sched, warm, rec in zip(schedules, warm_ups, records):
+            assert warm >= sched.start - session._WARM_UP_LEAD_NS
+            assert warm <= rec.send_ts[0]
+
+    def test_udp_receiver_gets_probes_only(self):
+        params = quick_params(n_trains=3, n_packets=20, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000)
+        tx, rx = TestInBandStamps._udp_pair()
+        try:
+            records = run_sender(params, tx)
+            got = []
+            while (item := rx.recv_from(time.monotonic_ns() + 50_000_000)) is not None:
+                got.append(item[0])
+            assert tx.recv_from(time.monotonic_ns()) is None
+        finally:
+            tx.close()
+            rx.close()
+        assert all(r.status is TrainStatus.COMPLETE for r in records)
+        assert len(got) == params.n_trains * params.n_packets
+        assert all(len(p) == params.geometry.payload_size for p in got)
+        assert sorted((p.train_id, p.seq) for p in map(decode_probe, got)) == [
+            (t, s) for t in range(params.n_trains) for s in range(params.n_packets)
+        ]
+
+    def test_failed_warm_up_leaves_the_train_to_run(self):
+        def refuse():
+            raise OSError("warm-up refused")
+
+        a, b = loopback_pair(1472)
+        a.warm_up = refuse
+        params = quick_params(n_trains=2, n_packets=5, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000)
+        records = run_sender(params, a)
+        assert [r.status for r in records] == [TrainStatus.COMPLETE] * 2
+        assert len(b._queue) == 10
+
+    def test_socket_fault_is_reported_by_the_probe_send(self):
+        # A closed socket fails the warm-up and the first probe alike; the
+        # probe's send marks the trains failed.
+        tx, rx = TestInBandStamps._udp_pair()
+        tx.close()
+        rx.close()
+        records = run_sender(quick_params(n_trains=2, n_packets=5), tx)
+        assert [r.status for r in records] == [TrainStatus.FAILED] * 2
 
 
 class TestFirstDeadlineApproach:
@@ -413,6 +499,9 @@ class TestOverallDeadlineUnderFlood:
         def send(self, payload, remote=None, *, stamp_probe=False):
             raise AssertionError("a flood holds no train to reflect")
 
+        def warm_up(self):
+            pass
+
     @pytest.mark.parametrize(
         "role",
         [
@@ -455,6 +544,9 @@ class TestLateDatagrams:
         def send(self, payload, remote=None, *, stamp_probe=False):
             self.sent.append(wire.peek_train_fields(payload))
             return time.monotonic_ns()
+
+        def warm_up(self):
+            pass
 
     @staticmethod
     def _script(*parts, t=None):
@@ -694,7 +786,7 @@ class TestExperiments:
             run_experiment("same-method", **kwargs)
 
     @pytest.mark.parametrize("kind, expected", [
-        ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 8), ("sweep", 16),
+        ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 5), ("sweep", 16),
     ])
     def test_jitter_free_work_does_not_scale(self, monkeypatch, kind, expected):
         calls = []

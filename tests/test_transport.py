@@ -92,6 +92,11 @@ class TestLoopback:
             a.send(bytes(32), ("127.0.0.1", 9))
         assert b.recv_from(now() + 1_000_000) is None
 
+    def test_warm_up_sends_nothing(self):
+        a, b = loopback_pair(32)
+        a.warm_up()
+        assert b.recv_from(now()) is None
+
 
 class TestUdp:
     def test_localhost_round_trip_full_payload(self):
@@ -136,6 +141,15 @@ class TestUdp:
                 ep.send(bytes(64))
         finally:
             ep.close()
+
+    def test_close_closes_the_warm_up_sink(self):
+        ep = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=64, local=("127.0.0.1", 0))
+        )
+        sink = ep._sink
+        assert sink.fileno() != -1
+        ep.close()
+        assert sink.fileno() == -1
 
     def test_timeout(self):
         ep = UdpEndpoint(
