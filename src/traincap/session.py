@@ -52,7 +52,7 @@ _NS_PER_S = 1_000_000_000
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
 _MAX_LINGER_NS = 2_000_000  # the sender's wait past a train's last packet
-_WARM_UP_LEAD_NS = 50_000  # the sender's warm-up send, ahead of a train's first deadline
+_WARM_UP_LEAD_NS = 200_000  # the sender's warm-up send, ahead of a train's first deadline
 MAX_TRAIN_PACKETS = (1 << 16) - 1  # train_len is a 16-bit wire field
 
 
@@ -167,11 +167,13 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     failure marks the current and all remaining trains failed.
 
     Before each train the sender sleeps coarsely, waits until a fixed
-    lead (50 us) before the first deadline and calls
+    lead (200 us) before the first deadline and calls
     ``endpoint.warm_up()``, so a cold first ``sendto`` (about 50 us on a
-    localhost UDP socket) is paid outside the train's span instead of
-    between its first two stamps. A warm-up that fails is ignored: the
-    train's own sends report a real socket fault.
+    localhost UDP socket, where this was measured) is paid outside the
+    train's span instead of between its first two stamps. The lead is
+    some four times that cost, so the warm-up ends before the first
+    deadline and packet 0 leaves on time. A warm-up that fails is
+    ignored: the train's own sends report a real socket fault.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []

@@ -5,7 +5,6 @@ The model is a chain of recurrences over one train (times in float ns,
 
     submit[i] = max(s[i], egress[i-1])        send loop reaches packet i
     egress[i] = submit[i] + d_proc_send       stack hands frame to the wire queue
-                (+ d_send_first for i = 0: a cold first send)
     w[i]      = max(egress[i], w[i-1] + ser)  frame starts occupying the medium
     a[i]      = w[i] + ser + prop_delay       frame fully arrives
 
@@ -19,14 +18,13 @@ batch, whichever is later), and the packets in it are then stamped one
 batch's stamps once. ``batch_size = 1`` with zero delays recovers
 undistorted timestamps.
 
-All events are deterministic. Optional uniform jitter on the five delay
+All events are deterministic. Optional uniform jitter on the four delay
 parameters (a fraction of each nominal value, drawn per use) sits behind
 an explicitly supplied RNG. The draws are written inline in the
 per-packet loops, in one fixed order and only for positive nominals:
-packet 0's send processing and then its first-send cost, every later
-packet's send processing, then the last send stamp's lag, the first
-receive batch's lag, and every packet's receive processing. That order
-is part of what a seed reproduces.
+every packet's send processing, then the last send stamp's lag, the
+first receive batch's lag, and every packet's receive processing. That
+order is part of what a seed reproduces.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ class SimConfig:
     link_capacity: float = 10_000_000_000
     geometry: FrameGeometry = field(default_factory=FrameGeometry)
     d_proc_send: float = 0.0  # sender stack processing per packet
-    d_send_first: float = 0.0  # extra stack time in packet 0's send only (a cold send path)
     d_proc_recv: float = 0.0  # receiver processing per packet within a batch
     batch_size: int = 1  # packets coalesced before receiver timestamping
     d_ts_last: float = 0.0  # lag of the last packet's sender timestamp
@@ -69,7 +66,7 @@ class SimConfig:
             raise ValueError("link_capacity must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        for name in ("d_proc_send", "d_send_first", "d_proc_recv", "d_ts_last", "d_ts_first_recv", "prop_delay"):
+        for name in ("d_proc_send", "d_proc_recv", "d_ts_last", "d_ts_first_recv", "prop_delay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.jitter < 1:
@@ -201,16 +198,14 @@ def simulate_train(
     intended = [float(t) for t in schedule.send_instants]
     n = len(intended)
 
-    # Packet 0 is peeled out of the loop: nothing queues ahead of it, and
-    # it alone pays d_send_first.
-    eg = dep = intended[0] + draw(d_send) + draw(cfg.d_send_first)
-    submit = [intended[0]]
-    egress = [eg]
-    departure = [dep]
-    arrival = [dep + ser + prop]
+    submit: list[float] = []
+    egress: list[float] = []
+    departure: list[float] = []
+    arrival: list[float] = []
     submit_append, egress_append = submit.append, egress.append
     departure_append, arrival_append = departure.append, arrival.append
-    for s in intended[1:]:
+    eg = dep = float("-inf")
+    for s in intended:
         sub = s if s >= eg else eg
         eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
         free = dep + ser

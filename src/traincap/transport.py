@@ -21,15 +21,19 @@ carries and the stamp ``send`` returns are one clock reading. This is
 the whole per-packet send path of the sender and reflector roles: one
 clock read, one field patch, one ``sendto``.
 
-Warm-up: an endpoint's first ``sendto`` after an idle spell runs cold,
-some 50 us slower than the next, and a train's send estimate counts
-that cost against its span. ``warm_up()`` sends one payload-size
-datagram from the endpoint's own socket to a private sink socket, bound
-to ``127.0.0.1:0`` when the endpoint opens, never read and closed with
-the endpoint; ``run_sender`` calls it a fixed lead before each train's
-first deadline. The datagram never reaches the measured path, the remote
-or the endpoint's own address, and ``send`` does not see it. On loopback
-``warm_up`` does nothing.
+Warm-up: on localhost, an endpoint's first ``sendto`` after an idle
+spell was measured some 50 us slower than the next, and a train's send
+estimate counts that cost against its span. ``warm_up()`` sends one
+payload-size datagram from the endpoint's own socket to a private sink
+socket, bound to ``127.0.0.1:0`` when the endpoint opens, never read and
+closed with the endpoint; ``run_sender`` calls it a fixed lead before
+each train's first deadline. The datagram never reaches the measured
+path, the remote or the endpoint's own address, and ``send`` does not
+see it. It crosses loopback, so toward a non-loopback remote it warms
+the socket and the interpreter's send path but not the probes' route or
+device; its effect there is unmeasured. Every UDP endpoint opens a sink
+(one more socket and bind), which keeps ``warm_up`` and ``close`` free
+of branches. On loopback ``warm_up`` does nothing.
 
 Receiving: ``recv_from(deadline)`` returns a plain ``(payload, ts,
 source)`` tuple, or None once the deadline has passed with nothing to

@@ -78,28 +78,6 @@ def criterion(num: int, text: str):
     print(f"criterion {num:2d}: PASS - {text}")
 
 
-def _trains_without_idle_stall(records, sent_by: int, idle_ns: int) -> list[bool]:
-    """Per train: whether the sender's own stamps rule out an idle flush.
-
-    A reflector ends a train early only when it finds its queue empty
-    ``idle_ns`` after the stamp of packet j, so packet j+1 went into the
-    queue later than that, and before packet j+2 (or whatever the sender
-    stamped next) was stamped. A train whose every span from one stamp to
-    the next-but-one, through the first stamp after the train, is under
-    ``idle_ns`` must therefore come back whole. One that the host paused
-    for that long mid-train may rightly come back partial: the reflector
-    saw a train stall for its idle timeout. ``sent_by`` is a clock reading
-    taken after the sender returned, standing in for the stamp after the
-    last train.
-    """
-    stamps = [[int(t) for t in r.send_ts] for r in records]
-    nexts = [s[0] for s in stamps[1:]] + [sent_by]
-    return [
-        all(b - a < idle_ns for a, b in zip(s, s[2:] + [after]))
-        for s, after in zip(stamps, nexts)
-    ]
-
-
 def test_criterion_1_ethernet_layer_maximum():
     with criterion(1, "back-to-back 1514B frames on 10 Gbps estimate 9.870 +/- 0.005 Gbps"):
         t0 = time.monotonic()
@@ -249,16 +227,12 @@ def test_criterion_7_reflector_invariant():
         t = threading.Thread(target=reflect)
         t.start()
         time.sleep(0.005)
-        records = run_sender(params, a)
-        sent_by = time.monotonic_ns()
+        run_sender(params, a)
         t.join()
         log = result["log"]
         assert len(log) == 100
-        steady = _trains_without_idle_stall(records, sent_by, params.idle_timeout_ns)
-        assert [entry.train_id for entry in log] == list(range(100))
-        for entry, whole_expected in zip(log, steady):
-            if whole_expected:
-                assert not entry.partial
+        for entry in log:
+            assert not entry.partial
             assert min(entry.egress_ts) > max(entry.ingress_ts)
 
         # partial trains: 49 of 50 packets, then silence

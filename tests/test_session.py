@@ -246,9 +246,9 @@ class TestWarmUp:
         def warm_up(self):
             self.calls.append(("warm_up", time.monotonic_ns()))
 
-    def test_once_per_train_before_its_first_probe(self, monkeypatch):
-        params = quick_params(n_trains=3, n_packets=5, desired_rate=1e9,
-                              inter_train_gap_ns=1_000_000)
+    @staticmethod
+    def _record_schedules(monkeypatch):
+        """The schedules run_sender builds, one per train, in order."""
         schedules = []
 
         def schedule(spec, start):
@@ -256,6 +256,12 @@ class TestWarmUp:
             return schedules[-1]
 
         monkeypatch.setattr(session, "build_schedule", schedule)
+        return schedules
+
+    def test_once_per_train_before_its_first_probe(self, monkeypatch):
+        params = quick_params(n_trains=3, n_packets=5, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000)
+        schedules = self._record_schedules(monkeypatch)
         ep = self.Recorder()
         records = run_sender(params, ep)
         assert all(r.status is TrainStatus.COMPLETE for r in records)
@@ -268,6 +274,23 @@ class TestWarmUp:
         for sched, warm, rec in zip(schedules, warm_ups, records):
             assert warm >= sched.start - session._WARM_UP_LEAD_NS
             assert warm <= rec.send_ts[0]
+
+    def test_slow_warm_up_leaves_the_first_packet_on_time(self, monkeypatch):
+        # A warm-up twice as slow as a cold localhost sendto (100 us) still
+        # ends inside the lead, so packet 0 leaves at its deadline and the
+        # span keeps its length. The median over five trains rides out a
+        # host pause in one of them.
+        class Slow(self.Recorder):
+            def warm_up(self):
+                end = time.monotonic_ns() + 100_000
+                while time.monotonic_ns() < end:
+                    pass
+
+        params = quick_params(n_trains=5, n_packets=5, inter_train_gap_ns=1_000_000)
+        schedules = self._record_schedules(monkeypatch)
+        records = run_sender(params, Slow())
+        late = sorted(rec.send_ts[0] - sched.start for rec, sched in zip(records, schedules))
+        assert late[2] < 50_000
 
     def test_udp_receiver_gets_probes_only(self):
         params = quick_params(n_trains=3, n_packets=20, desired_rate=1e9,

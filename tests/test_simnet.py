@@ -26,7 +26,6 @@ from traincap.simnet import (
 )
 from traincap.train import (
     DegenerateDurationError,
-    TrainSchedule,
     TrainSpec,
     TrainStatus,
     build_schedule,
@@ -161,43 +160,6 @@ class TestClosedForms:
             _, rec = simulate_train(schedule, cfg)
             assert estimate_receive_rate(rec) == expected
 
-    def test_first_send_cost_exact(self):
-        # Back-to-back sending (gap <= d_proc_send = P): the send span is
-        # S = (N-1)*P, and d_send_first = D alone stretches it to S + D, so
-        # est_send = (N-1)*c*1e9/(S + D) = est_send(D=0) * S/(S + D).
-        rng = random.Random(2026)
-        c = G1514.counted_bits
-        for _ in range(200):
-            n = rng.randint(2, 100)
-            p = rng.randint(1, 50_000)
-            gap = rng.randint(1, p)
-            d = rng.randint(1, 500_000)
-            spec = TrainSpec(n, G1514, c * 10**9 / gap)
-            schedule = TrainSchedule(spec=spec, start=rng.randint(0, 10**9), gap=gap)
-            span = (n - 1) * p
-            rates = []
-            for first in (0, d):
-                cfg = SimConfig(geometry=G1514, d_proc_send=p, d_send_first=first)
-                trace, rec = simulate_train(schedule, cfg)
-                assert trace.submit[1] - trace.submit[0] == p + first
-                rates.append(estimate_send_rate(rec))
-            assert rates[0] == (n - 1) * c * 10**9 / span
-            assert rates[1] == (n - 1) * c * 10**9 / (span + d)
-            assert math.isclose(rates[1], rates[0] * span / (span + d), rel_tol=1e-12)
-
-    def test_first_send_cost_draws_only_when_positive(self):
-        cfg = replace(preset("stack"), jitter=0.1)
-        schedule = build_schedule(TrainSpec(10, cfg.geometry, 1e9), 0)
-        draws = []
-        for first in (0.0, 3000.0):
-            rng = random.Random(8)
-            calls = []
-            real = rng.random
-            rng.random = lambda: calls.append(1) or real()
-            simulate_train(schedule, replace(cfg, d_send_first=first), rng=rng)
-            draws.append(len(calls))
-        assert draws[1] == draws[0] + 1
-
 
 class TestPresets:
     def test_names(self):
@@ -305,7 +267,6 @@ class TestModelProperties:
                 d_ts_last=rng.randint(0, 2000),
                 d_ts_first_recv=rng.randint(0, 2000),
                 prop_delay=rng.randint(0, 100_000),
-                d_send_first=rng.randint(0, 60_000),
             )
             n = rng.randint(2, 80)
             trace, _ = simulate_train(
@@ -354,7 +315,5 @@ class TestModelProperties:
             SimConfig(batch_size=0)
         with pytest.raises(ValueError):
             SimConfig(d_proc_send=-1)
-        with pytest.raises(ValueError):
-            SimConfig(d_send_first=-1)
         with pytest.raises(ValueError):
             SimConfig(jitter=1.5)
