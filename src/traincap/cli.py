@@ -8,10 +8,10 @@ Each subcommand takes only the options it reads. All take --trains,
 --frame-size, --out and --out-file. All but reflect, which learns a
 train's length from its packets, take --packets. send, receive and
 simulate write train records and take --rate and --timestamps. send
-and receive, which can run the sender, take --gap-ms, --pacer and
---spin-window-us. The report tables use a fixed 10 Gbit/s desired rate
-and a fixed sweep grid (10, 20, 50 and 100 packets at 1, 2.5, 5 and
-10 Gbit/s).
+and receive, which can run the sender, take --gap-ms and --pacer (the
+hybrid pacer's 200 us spin window is fixed). The report tables use a
+fixed 10 Gbit/s desired rate and a fixed sweep grid (10, 20, 50 and 100
+packets at 1, 2.5, 5 and 10 Gbit/s).
 
 Rates accept plain integers, scientific notation, and decimal k/M/G
 suffixes ("100M", "2.5G", "10e9"); internally rates are integer bits/s.
@@ -267,7 +267,7 @@ def _session_params(args: argparse.Namespace) -> SessionParams:
         desired_rate=args.rate,
         geometry=FrameGeometry(args.frame_size),
         inter_train_gap_ns=int(args.gap_ms * 1e6),
-        pacer=PacerConfig(mode=args.pacer, hybrid_spin_window=args.spin_window_us * 1000),
+        pacer=PacerConfig(mode=args.pacer),
     )
 
 
@@ -426,8 +426,6 @@ def _add_common(
     if sender:
         p.add_argument("--gap-ms", type=duration(1e-6, "ms"), default=10.0, help="inter-train gap in ms (default 10)")
         p.add_argument("--pacer", choices=(PURE_SPIN, HYBRID), default=HYBRID)
-        p.add_argument("--spin-window-us", type=at_least(1), default=200,
-                       help="hybrid pacer final busy-wait window in us (default 200)")
 
 
 def build_parser() -> argparse.ArgumentParser:

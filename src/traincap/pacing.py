@@ -9,9 +9,12 @@ Two modes:
 
 * ``pure-spin`` busy-polls the clock until the deadline, giving the
   tightest wake precision at the cost of a fully occupied core.
-* ``hybrid`` coarse-sleeps until ``deadline - hybrid_spin_window`` and
-  spins only the final stretch, trading a bounded amount of precision for
-  a mostly idle core (and, in-process, for letting peer threads run).
+* ``hybrid`` coarse-sleeps until a fixed 200 us spin window before the
+  deadline and spins only that final stretch, trading a bounded amount
+  of precision for a mostly idle core (and, in-process, for letting peer
+  threads run). The window is at least the sender's warm-up lead, so a
+  hybrid wait for a train's first deadline never sleeps after the
+  warm-up send.
 
 Both waits share the private ``_wait``, which returns the wake-up clock
 reading as an int. :func:`wait_until` wraps that reading in a
@@ -30,6 +33,7 @@ PURE_SPIN = "pure-spin"
 HYBRID = "hybrid"
 
 _SLEEP_SLACK_NS = 50_000  # typical timer slack of a non-realtime sleep
+_SPIN_WINDOW_NS = 200_000  # final busy-wait of a hybrid wait
 
 
 @dataclass(frozen=True)
@@ -37,13 +41,10 @@ class PacerConfig:
     """How to wait: spin all the way, or sleep coarsely then spin."""
 
     mode: str = HYBRID
-    hybrid_spin_window: int = 200_000  # ns of final busy-wait in hybrid mode
 
     def __post_init__(self) -> None:
         if self.mode not in (PURE_SPIN, HYBRID):
             raise ValueError(f"unknown pacer mode: {self.mode!r}")
-        if self.mode == HYBRID and self.hybrid_spin_window <= 0:
-            raise ValueError("hybrid_spin_window must be positive")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def _wait(deadline: int, cfg: PacerConfig) -> int:
         # Coarse sleep toward the spin window; leave room for timer slack
         # so an oversleep still lands before the deadline.
         while True:
-            remaining = deadline - cfg.hybrid_spin_window - time.monotonic_ns()
+            remaining = deadline - _SPIN_WINDOW_NS - time.monotonic_ns()
             if remaining <= _SLEEP_SLACK_NS:
                 break
             time.sleep((remaining - _SLEEP_SLACK_NS) / 1e9)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -51,7 +50,7 @@ _NS_PER_S = 1_000_000_000
 
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
-_MAX_LINGER_NS = 2_000_000  # the sender's wait past a train's last packet
+_START_LEAD_NS = 4_000_000  # the sender's headroom between scheduling a train and its first send
 _WARM_UP_LEAD_NS = 200_000  # the sender's warm-up send, ahead of a train's first deadline
 MAX_TRAIN_PACKETS = (1 << 16) - 1  # train_len is a 16-bit wire field
 
@@ -67,7 +66,6 @@ class SessionParams:
     inter_train_gap_ns: int = DEFAULT_INTER_TRAIN_GAP_NS
     idle_timeout_ns: ClassVar[int] = DEFAULT_IDLE_TIMEOUT_NS  # fixed, not a field
     pacer: PacerConfig = field(default_factory=PacerConfig)
-    start_lead_ns: int = 4_000_000  # headroom between scheduling and first send
 
     def __post_init__(self) -> None:
         if self.n_trains < 1:
@@ -86,15 +84,10 @@ class SessionParams:
         )
 
     def expected_duration_ns(self) -> int:
-        """Planned sender time: per train, the start lead, the send span,
-        the linger after the last packet and the inter-train gap."""
+        """Planned sender time: per train, the start lead, the send span
+        and the inter-train gap."""
         gap = build_schedule(self.train_spec(0), 0).gap
-        per_train = (
-            self.start_lead_ns
-            + (self.n_packets - 1) * gap
-            + min(gap, _MAX_LINGER_NS)
-            + self.inter_train_gap_ns
-        )
+        per_train = _START_LEAD_NS + (self.n_packets - 1) * gap + self.inter_train_gap_ns
         return self.n_trains * per_train
 
 
@@ -166,14 +159,16 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     equal (a clock too coarse for its span) is zero-duration. A transport
     failure marks the current and all remaining trains failed.
 
-    Before each train the sender sleeps coarsely, waits until a fixed
-    lead (200 us) before the first deadline and calls
-    ``endpoint.warm_up()``, so a cold first ``sendto`` (about 50 us on a
-    localhost UDP socket, where this was measured) is paid outside the
-    train's span instead of between its first two stamps. The lead is
-    some four times that cost, so the warm-up ends before the first
-    deadline and packet 0 leaves on time. A warm-up that fails is
-    ignored: the train's own sends report a real socket fault.
+    Each train is scheduled 4 ms ahead. The sender sleeps coarsely to
+    2.5 ms before its first deadline, waits with the pacer until a fixed
+    lead (200 us) before it and calls ``endpoint.warm_up()``, so a cold
+    first ``sendto`` (about 50 us on a localhost UDP socket, where this
+    was measured) is paid outside the train's span instead of between
+    its first two stamps. The lead is some four times that cost, so the
+    warm-up ends before the first deadline and packet 0 leaves on time.
+    A warm-up that fails is ignored: the train's own sends report a real
+    socket fault. After the last packet the sender sleeps the inter-train
+    gap, except after the last train.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -201,7 +196,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
         def emit(i: int) -> int:
             return endpoint.send(bufs[i], stamp_probe=True)
 
-        schedule = build_schedule(spec, time.monotonic_ns() + params.start_lead_ns)
+        schedule = build_schedule(spec, time.monotonic_ns() + _START_LEAD_NS)
         # A coarse sleep stops well short of the start (a cold thread's
         # first sleep can run milliseconds long); a wait whose final
         # stretch never sleeps then takes the warm-up's instant, and
@@ -229,10 +224,6 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
                 status=TrainStatus.COMPLETE if send_ts[-1] != send_ts[0] else TrainStatus.ZERO_DURATION,
             )
         )
-        # Linger one gap past the last packet so a co-resident receiver
-        # thread sees the train's tail under the same scheduling pressure
-        # as its body (keeps first/last receive lag symmetric).
-        wait_until(schedule.send_instants[-1] + min(schedule.gap, _MAX_LINGER_NS), params.pacer)
         if train_id + 1 < params.n_trains:
             time.sleep(params.inter_train_gap_ns / 1e9)
     return records
@@ -381,27 +372,22 @@ def run_paired(
 ) -> tuple[list[TrainRecord], list[TrainRecord], ApcReport]:
     """Run sender and receiver threads over two endpoints of one path.
 
-    The interpreter's thread switch interval is temporarily lowered so
-    the receiver keeps draining while the sender busy-waits between
-    packets; both are restored before returning.
+    The receiver thread starts first; the sender's 4 ms start lead gives
+    it time to block on its endpoint before the first packet, and a
+    packet that comes sooner waits in the endpoint's queue. Neither
+    thread changes interpreter-wide state.
     """
     result: dict[str, object] = {}
 
     def receive() -> None:
         result["recv"] = run_receiver(params, receiver_endpoint)
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(0.0001)
+    rx = threading.Thread(target=receive, name="traincap-receiver")
+    rx.start()
     try:
-        rx = threading.Thread(target=receive, name="traincap-receiver")
-        rx.start()
-        try:
-            time.sleep(0.01)  # let the receiver block on its socket first
-            sender_records = run_sender(params, sender_endpoint)
-        finally:
-            rx.join()  # receiver bounds itself with its overall timeout
+        sender_records = run_sender(params, sender_endpoint)
     finally:
-        sys.setswitchinterval(old_interval)
+        rx.join()  # receiver bounds itself with its overall timeout
     receiver_records, report = result["recv"]
     return sender_records, receiver_records, report
 

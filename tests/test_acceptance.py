@@ -217,7 +217,6 @@ def test_criterion_7_reflector_invariant():
             geometry=G1514,
             inter_train_gap_ns=2_000_000,
             pacer=SPIN,
-            start_lead_ns=1_000_000,
         )
         result = {}
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import threading
 import time
 import types
@@ -66,25 +67,23 @@ def quick_params(**kw):
 
 class TestSessionParams:
     def test_expected_duration_covers_sender_plan(self):
-        # run_sender waits start_lead before each train, spans (N-1) gaps,
-        # lingers up to min(gap, 2 ms), then sleeps the inter-train gap.
+        # run_sender schedules each train a start lead ahead, spans (N-1)
+        # gaps, then sleeps the inter-train gap.
         cases = [
             dict(n_trains=500, n_packets=50, desired_rate=10e9, inter_train_gap_ns=500_000),
             dict(n_trains=10, n_packets=50, desired_rate=1e8, inter_train_gap_ns=10_000_000),
             dict(n_trains=3, n_packets=2, desired_rate=1e6, inter_train_gap_ns=1),
-            dict(n_trains=1, n_packets=1000, desired_rate=1e9, inter_train_gap_ns=1,
-                 start_lead_ns=0),
+            dict(n_trains=1, n_packets=1000, desired_rate=1e9, inter_train_gap_ns=1),
         ]
         for kw in cases:
             params = SessionParams(**kw)
             gap = build_schedule(params.train_spec(0), 0).gap
             plan = params.n_trains * (
-                params.start_lead_ns
+                session._START_LEAD_NS
                 + (params.n_packets - 1) * gap
                 + params.inter_train_gap_ns
             )
-            linger = params.n_trains * min(gap, 2_000_000)
-            assert params.expected_duration_ns() >= plan + linger
+            assert params.expected_duration_ns() >= plan
 
 
 class TestAggregateStats:
@@ -181,6 +180,24 @@ class TestLoopbackSession:
             assert abs(rate - 1e8) / 1e8 < 0.05
         for rec in sent:
             assert abs(estimate_send_rate(rec) - 1e8) / 1e8 < 0.05
+
+    def test_paired_run_keeps_the_switch_interval(self):
+        # run_paired changes no interpreter-wide state: the receiver
+        # thread runs under the caller's switch interval.
+        seen = []
+        a, b = loopback_pair(1472)
+        recv_from = b.recv_from
+
+        def recording_recv_from(deadline):
+            seen.append(sys.getswitchinterval())
+            return recv_from(deadline)
+
+        b.recv_from = recording_recv_from
+        caller = sys.getswitchinterval()
+        _, received, _ = session.run_paired(quick_params(n_trains=2, n_packets=5), a, b)
+        assert len(received) == 2
+        assert seen and set(seen) == {caller}
+        assert sys.getswitchinterval() == caller
 
     def test_single_two_packet_train(self):
         params = quick_params(n_trains=1, n_packets=2)
@@ -369,8 +386,42 @@ class TestFirstDeadlineApproach:
         (first,) = [sched.start for sched in schedules]
         assert sleeps
         for started, planned in sleeps:
-            assert started + planned <= first - params.pacer.hybrid_spin_window
+            assert started + planned <= first - pacing._SPIN_WINDOW_NS
         assert record.send_ts[0] >= first
+
+    def test_hybrid_sender_never_sleeps_between_warm_up_and_first_packet(self, monkeypatch):
+        # The hybrid spin window is at least the warm-up lead, so pace_send's
+        # wait for packet 0 only spins: a sleep there could overrun the
+        # first deadline after the send path was warmed.
+        assert pacing._SPIN_WINDOW_NS >= session._WARM_UP_LEAD_NS
+        params = quick_params(n_trains=1, n_packets=10, desired_rate=1e9,
+                              pacer=PacerConfig(mode=HYBRID))
+        events = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            events.append("sleep")
+            real_sleep(seconds)
+
+        a, b = loopback_pair(params.geometry.payload_size)
+        send = a.send
+
+        def recording_send(payload, remote=None, *, stamp_probe=False):
+            events.append(("send", wire.peek_train_fields(payload)[0]))
+            return send(payload, remote, stamp_probe=stamp_probe)
+
+        a.warm_up = lambda: events.append("warm_up")
+        a.send = recording_send
+        monkeypatch.setattr(time, "sleep", sleep)
+        try:
+            (record,) = run_sender(params, a)
+        finally:
+            a.close()
+            b.close()
+        assert record.status is TrainStatus.COMPLETE
+        warm = events.index("warm_up")
+        assert events[warm + 1] == ("send", 0)
+        assert "sleep" in events[:warm]
 
 
 class TestInBandStamps:
