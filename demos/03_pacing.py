@@ -2,9 +2,9 @@
 """Deadline precision of the two pacing modes.
 
 Pure spin busy-polls the monotonic clock and typically wakes within a
-few hundred nanoseconds of the deadline; hybrid sleeps coarsely first
-and spins only the final 200 us, freeing the core at the cost of
-precision on hosts with coarse sleep granularity.
+few hundred nanoseconds of the deadline; hybrid sleeps once first and
+spins only the final 250 us, freeing the core at the cost of precision
+on hosts with coarse sleep granularity.
 """
 
 import time
@@ -28,7 +28,7 @@ print("wake-up slack past the deadline (ns), 400 deadlines at 50 us spacing;")
 print("late deadlines (already past when the wait began) are left out of the slack figures:")
 for name, cfg in (
     ("pure-spin", PacerConfig(mode=PURE_SPIN)),
-    ("hybrid 200us window", PacerConfig(mode=HYBRID)),
+    ("hybrid 250us window", PacerConfig(mode=HYBRID)),
 ):
     p50, p99, worst, late = measure(cfg, 50_000)
     print(f"  {name:22} p50 {p50:>8}  p99 {p99:>8}  max {worst:>10}  late {late:>4}")

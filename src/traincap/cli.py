@@ -9,7 +9,7 @@ Each subcommand takes only the options it reads. All take --trains,
 train's length from its packets, take --packets. send, receive and
 simulate write train records and take --rate and --timestamps. send
 and receive, which can run the sender, take --gap-ms and --pacer (the
-hybrid pacer's 200 us spin window is fixed). The report tables use a
+hybrid pacer's 250 us spin window is fixed). The report tables use a
 fixed 10 Gbit/s desired rate and a fixed sweep grid (10, 20, 50 and 100
 packets at 1, 2.5, 5 and 10 Gbit/s).
 
@@ -23,8 +23,9 @@ Usage errors include option values the roles cannot run with (a jitter
 outside [0, 1), a frame too small for the probe header or, over UDP,
 too large for one datagram, a rate too fast to schedule, a bad port, a
 train too long for the 16-bit train_len, a gap or timeout that is not a
-positive finite duration) and a ``report --in`` file that cannot be
-read or whose rate cells are not finite numbers. Each is reported on
+positive finite duration), a ``report --in`` file that cannot be
+read or whose rate cells are not finite numbers, and an ``--out-file``
+that cannot be opened, found before any socket is. Each is reported on
 stderr, without a traceback.
 
 With ``--backend loopback`` the send and receive commands run both roles
@@ -496,6 +497,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"usage: --rate {args.rate} at --frame-size {args.frame_size}: {exc}",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.out_file:
+        try:
+            open(args.out_file, "a").close()
+        except OSError as exc:
+            print(f"usage: --out-file {args.out_file}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except TransportError as exc:

@@ -9,12 +9,11 @@ Two modes:
 
 * ``pure-spin`` busy-polls the clock until the deadline, giving the
   tightest wake precision at the cost of a fully occupied core.
-* ``hybrid`` coarse-sleeps until a fixed 200 us spin window before the
-  deadline and spins only that final stretch, trading a bounded amount
-  of precision for a mostly idle core (and, in-process, for letting peer
-  threads run). The window is at least the sender's warm-up lead, so a
-  hybrid wait for a train's first deadline never sleeps after the
-  warm-up send.
+* ``hybrid`` sleeps once, to a fixed 250 us spin window before the
+  deadline, then spins, trading a bounded amount of precision for a
+  mostly idle core (and, in-process, for letting peer threads run). The
+  window is longer than the sender's warm-up lead, so a hybrid wait
+  never sleeps between the warm-up send and a train's packet 0.
 
 Both waits share the private ``_wait``, which returns the wake-up clock
 reading as an int. :func:`wait_until` wraps that reading in a
@@ -32,13 +31,12 @@ from typing import Callable, Sequence
 PURE_SPIN = "pure-spin"
 HYBRID = "hybrid"
 
-_SLEEP_SLACK_NS = 50_000  # typical timer slack of a non-realtime sleep
-_SPIN_WINDOW_NS = 200_000  # final busy-wait of a hybrid wait
+_SPIN_WINDOW_NS = 250_000  # final busy-wait of a hybrid wait, timer slack included
 
 
 @dataclass(frozen=True)
 class PacerConfig:
-    """How to wait: spin all the way, or sleep coarsely then spin."""
+    """How to wait: spin all the way, or sleep once then spin."""
 
     mode: str = HYBRID
 
@@ -78,17 +76,13 @@ def wait_until(deadline: int, cfg: PacerConfig = PacerConfig()) -> SlackReport:
 def _wait(deadline: int, cfg: PacerConfig) -> int:
     """Wait for a deadline not yet reached; return the first reading >= it.
 
-    A hybrid wait plans every sleep to end the spin window plus the timer
-    slack before the deadline, so its final stretch only spins.
+    A hybrid wait sleeps once, to the spin window before the deadline
+    (``time.sleep`` never returns early, PEP 475), and spins the rest.
     """
     if cfg.mode == HYBRID:
-        # Coarse sleep toward the spin window; leave room for timer slack
-        # so an oversleep still lands before the deadline.
-        while True:
-            remaining = deadline - _SPIN_WINDOW_NS - time.monotonic_ns()
-            if remaining <= _SLEEP_SLACK_NS:
-                break
-            time.sleep((remaining - _SLEEP_SLACK_NS) / 1e9)
+        remaining = deadline - _SPIN_WINDOW_NS - time.monotonic_ns()
+        if remaining > 0:
+            time.sleep(remaining / 1e9)
 
     t = time.monotonic_ns()
     while t < deadline:

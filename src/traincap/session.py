@@ -159,16 +159,15 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     equal (a clock too coarse for its span) is zero-duration. A transport
     failure marks the current and all remaining trains failed.
 
-    Each train is scheduled 4 ms ahead. The sender sleeps coarsely to
-    2.5 ms before its first deadline, waits with the pacer until a fixed
-    lead (200 us) before it and calls ``endpoint.warm_up()``, so a cold
-    first ``sendto`` (about 50 us on a localhost UDP socket, where this
-    was measured) is paid outside the train's span instead of between
-    its first two stamps. The lead is some four times that cost, so the
-    warm-up ends before the first deadline and packet 0 leaves on time.
-    A warm-up that fails is ignored: the train's own sends report a real
-    socket fault. After the last packet the sender sleeps the inter-train
-    gap, except after the last train.
+    Each train is scheduled 4 ms ahead. In either pacer mode the sender
+    makes a hybrid wait until a fixed lead (200 us) before the first
+    deadline and calls ``endpoint.warm_up()``, so a cold first ``sendto``
+    (about 50 us on a localhost UDP socket, where this was measured) is
+    paid outside the train's span, not between its first two stamps. The
+    lead is some four times that cost, so packet 0 still leaves on time.
+    A failed warm-up is ignored: the train's own sends report a real
+    socket fault. ``params.pacer`` paces the train itself, and the
+    inter-train gap is slept after every train but the last.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -197,15 +196,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
             return endpoint.send(bufs[i], stamp_probe=True)
 
         schedule = build_schedule(spec, time.monotonic_ns() + _START_LEAD_NS)
-        # A coarse sleep stops well short of the start (a cold thread's
-        # first sleep can run milliseconds long); a wait whose final
-        # stretch never sleeps then takes the warm-up's instant, and
-        # pace_send's own wait the first deadline.
-        coarse_stop = schedule.start - 2_500_000
-        now = time.monotonic_ns()
-        if coarse_stop > now:
-            time.sleep((coarse_stop - now) / 1e9)
-        wait_until(schedule.start - _WARM_UP_LEAD_NS, params.pacer)
+        wait_until(schedule.start - _WARM_UP_LEAD_NS)
         try:
             endpoint.warm_up()
         except OSError:
@@ -375,12 +366,16 @@ def run_paired(
     The receiver thread starts first; the sender's 4 ms start lead gives
     it time to block on its endpoint before the first packet, and a
     packet that comes sooner waits in the endpoint's queue. Neither
-    thread changes interpreter-wide state.
+    thread changes interpreter-wide state. The sender's exception, else
+    the receiver's, reaches the caller.
     """
     result: dict[str, object] = {}
 
     def receive() -> None:
-        result["recv"] = run_receiver(params, receiver_endpoint)
+        try:
+            result["recv"] = run_receiver(params, receiver_endpoint)
+        except BaseException as exc:  # re-raised in the caller's thread
+            result["error"] = exc
 
     rx = threading.Thread(target=receive, name="traincap-receiver")
     rx.start()
@@ -388,6 +383,8 @@ def run_paired(
         sender_records = run_sender(params, sender_endpoint)
     finally:
         rx.join()  # receiver bounds itself with its overall timeout
+    if "error" in result:
+        raise result["error"]
     receiver_records, report = result["recv"]
     return sender_records, receiver_records, report
 

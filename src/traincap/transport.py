@@ -164,9 +164,10 @@ class UdpEndpoint:
     def __init__(self, descriptor: BackendDescriptor) -> None:
         self._remote = descriptor.remote
         self._stamper = _SendStamper()
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock = sink = None
         try:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.setsockopt(
                 socket.SOL_SOCKET,
                 socket.SO_RCVBUF,
@@ -176,9 +177,9 @@ class UdpEndpoint:
                 sock.bind(descriptor.local)
             sink.bind(("127.0.0.1", 0))
         except OSError as exc:
-            sock.close()
-            sink.close()
-            raise TransportError(f"bind failed: {exc}") from exc
+            for opened in filter(None, (sock, sink)):
+                opened.close()
+            raise TransportError(f"socket or bind failed: {exc}") from exc
         sock.setblocking(False)
         self._sock = sock
         self._sink = sink

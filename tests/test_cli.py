@@ -246,6 +246,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "stack", "--rate", "1G"],
+        ["send", "--backend", "loopback", "--rate", "100M"],
+    ], ids=["simulate", "send-loopback"])
+    def test_unwritable_out_file_is_a_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command ran before its output file was checked")
+
+        for name in ("open_endpoint", "run_loopback_session", "simulate_train"):
+            monkeypatch.setattr(cli, name, refuse)
+        path = tmp_path / "missing" / "x.csv"
+        code, captured = run_failing(capsys, *argv, "--out-file", str(path))
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert str(path) in captured.err and "Traceback" not in captured.err
+
     def test_no_valid_trains_is_4(self, capsys):
         code, _ = run_cli(capsys, "receive", "--local", "127.0.0.1:0",
                           "--trains", "1", "--timeout", "0.2")

@@ -41,6 +41,16 @@ class TestWaitUntil:
             assert report.wake_ns >= deadline
             assert not report.late
 
+    def test_hybrid_wait_sleeps_at_most_once(self, monkeypatch):
+        # Even a sleep that returns at once is not retried: the wait
+        # spins the rest of the way.
+        sleeps = []
+        monkeypatch.setattr(pacing.time, "sleep", sleeps.append)
+        deadline = time.monotonic_ns() + 5_000_000
+        report = wait_until(deadline, PacerConfig(mode=HYBRID))
+        assert report.wake_ns >= deadline
+        assert len(sleeps) <= 1
+
     def test_spin_overshoot_is_small(self):
         # Soft sanity bound; the strict p99 <= 1 us benchmark lives in
         # the acceptance suite.

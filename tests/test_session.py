@@ -199,6 +199,31 @@ class TestLoopbackSession:
         assert seen and set(seen) == {caller}
         assert sys.getswitchinterval() == caller
 
+    @staticmethod
+    def _failing_receiver():
+        a, b = loopback_pair(1472)
+
+        def recv_from(deadline):
+            raise OSError("receiver endpoint failed")
+
+        b.recv_from = recv_from
+        return a, b
+
+    def test_paired_run_raises_the_receivers_exception(self):
+        a, b = self._failing_receiver()
+        with pytest.raises(OSError, match="receiver endpoint failed"):
+            session.run_paired(quick_params(n_trains=1, n_packets=5), a, b)
+
+    def test_paired_run_prefers_the_senders_exception(self):
+        a, b = self._failing_receiver()
+
+        def warm_up():
+            raise RuntimeError("sender failed")
+
+        a.warm_up = warm_up
+        with pytest.raises(RuntimeError, match="sender failed"):
+            session.run_paired(quick_params(n_trains=1, n_packets=5), a, b)
+
     def test_single_two_packet_train(self):
         params = quick_params(n_trains=1, n_packets=2)
         sent, received, report = run_loopback_session(params)
@@ -352,13 +377,15 @@ class TestWarmUp:
 
 
 class TestFirstDeadlineApproach:
-    def test_hybrid_sender_never_sleeps_into_the_spin_window(self, monkeypatch):
-        """Every sleep of a hybrid sender is planned to end at least one spin
-        window before the first scheduled instant, and no packet leaves
-        before that instant."""
+    @pytest.mark.parametrize("mode", [HYBRID, PURE_SPIN])
+    def test_sender_never_sleeps_into_the_spin_window(self, monkeypatch, mode):
+        """In either pacer mode, the sender's last sleep before the warm-up
+        is planned to end one spin window before the warm-up's instant,
+        and no packet leaves before the first scheduled instant. Planned
+        ends, not wake times, so a host pause cannot fail it."""
         params = quick_params(n_trains=1, n_packets=10, desired_rate=1e9,
-                              pacer=PacerConfig(mode=HYBRID))
-        sleeps, schedules, last_read = [], [], [0]
+                              pacer=PacerConfig(mode=mode))
+        events, schedules, last_read = [], [], [0]
         real_clock, real_sleep = time.monotonic_ns, time.sleep
 
         def clock():
@@ -367,7 +394,7 @@ class TestFirstDeadlineApproach:
 
         def sleep(seconds):
             # The sender's own last reading, so a host pause cannot skew it.
-            sleeps.append((last_read[0], round(seconds * 1e9)))
+            events.append(last_read[0] + round(seconds * 1e9))
             real_sleep(seconds)
 
         def schedule(spec, start):
@@ -378,15 +405,18 @@ class TestFirstDeadlineApproach:
         monkeypatch.setattr(time, "sleep", sleep)
         monkeypatch.setattr(session, "build_schedule", schedule)
         a, b = loopback_pair(params.geometry.payload_size)
+        a.warm_up = lambda: events.append("warm_up")
         try:
             (record,) = run_sender(params, a)
         finally:
             a.close()
             b.close()
         (first,) = [sched.start for sched in schedules]
-        assert sleeps
-        for started, planned in sleeps:
-            assert started + planned <= first - pacing._SPIN_WINDOW_NS
+        warm = events.index("warm_up")
+        assert warm > 0, "no sleep before the warm-up"
+        planned_end = events[warm - 1]
+        expected = first - session._WARM_UP_LEAD_NS - pacing._SPIN_WINDOW_NS
+        assert abs(planned_end - expected) <= 1_000
         assert record.send_ts[0] >= first
 
     def test_hybrid_sender_never_sleeps_between_warm_up_and_first_packet(self, monkeypatch):

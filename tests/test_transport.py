@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import time
 
 import pytest
 
+from traincap import transport
 from traincap.transport import (
     MAX_UDP_PAYLOAD,
     OS_DATAGRAM,
@@ -131,6 +133,24 @@ class TestUdp:
                 )
         finally:
             first.close()
+
+    def test_socket_creation_error_closes_what_was_opened(self, monkeypatch):
+        # The second socket (the warm-up sink) cannot be created, as when
+        # the process is out of file descriptors.
+        real_socket = transport.socket.socket
+        opened = []
+
+        def socket_factory(*args):
+            if opened:
+                raise OSError(errno.EMFILE, "Too many open files")
+            opened.append(real_socket(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(transport.socket, "socket", socket_factory)
+        with pytest.raises(TransportError, match="Too many open files"):
+            UdpEndpoint(BackendDescriptor(kind=OS_DATAGRAM, payload_size=64))
+        (first,) = opened
+        assert first.fileno() == -1
 
     def test_send_without_remote(self):
         ep = UdpEndpoint(
