@@ -99,20 +99,20 @@ def pace_send(
 
     ``emit(i)`` performs the send of packet ``i`` and returns its send
     timestamp (monotonic ns). Packet ``i`` is never emitted before
-    ``schedule[i]``; when the emit action cannot keep up, the returned
-    timestamps simply reflect the slower reality. An exception raised by
+    ``schedule[i]``. A late start moves the whole schedule by its
+    lateness, so the train keeps its spacing; a later deadline already
+    passed (a slow emit or a host pause) is emitted without waiting, so
+    the timestamps reflect the slower reality. An exception raised by
     ``emit`` aborts the train and propagates to the caller, which is
     responsible for marking the train invalid.
-
-    A deadline already reached when its packet's turn comes (a catch-up
-    after a slow emit or a host pause) is emitted without waiting.
     """
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule instants must be strictly increasing")
     clock = time.monotonic_ns
+    late = max(0, clock() - schedule[0])
     timestamps: list[int] = []
-    for i, deadline in enumerate(schedule):
-        if clock() < deadline:
-            _wait(deadline, cfg)
+    for i, instant in enumerate(schedule):
+        if clock() < instant + late:
+            _wait(instant + late, cfg)
         timestamps.append(emit(i))
     return timestamps

@@ -105,6 +105,16 @@ class TestPaceSend:
         assert all(g >= 200_000 for g in gaps)
         assert all(t >= d for t, d in zip(ts, schedule))
 
+    def test_late_start_keeps_the_spacing(self):
+        # A first instant 1 ms past moves the whole train: packet i leaves
+        # no sooner than i gaps after the call, not back to back with
+        # packet 0. A host pause only makes the stamps later.
+        start = time.monotonic_ns() - 1_000_000
+        schedule = [start + i * 100_000 for i in range(5)]
+        before = time.monotonic_ns()
+        ts = pace_send(schedule, lambda i: time.monotonic_ns(), SPIN)
+        assert all(t >= before + i * 100_000 for i, t in enumerate(ts))
+
     def test_emit_failure_propagates(self):
         def bad_emit(i):
             if i == 2:
