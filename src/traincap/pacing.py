@@ -108,6 +108,8 @@ def pace_send(
     """
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule instants must be strictly increasing")
+    if not schedule:
+        return []
     clock = time.monotonic_ns
     late = max(0, clock() - schedule[0])
     timestamps: list[int] = []

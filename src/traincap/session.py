@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
 from . import wire
-from .pacing import PacerConfig, pace_send, wait_until
+from .pacing import PacerConfig, pace_send
 from .simnet import (
     PRESET_NAMES,
     SimConfig,
@@ -50,8 +50,7 @@ _NS_PER_S = 1_000_000_000
 
 DEFAULT_IDLE_TIMEOUT_NS = 10_000_000  # flush a stalled train after 10 ms
 DEFAULT_INTER_TRAIN_GAP_NS = 10_000_000
-_START_LEAD_NS = 4_000_000  # the sender's headroom between scheduling a train and its first send
-_WARM_UP_LEAD_NS = 200_000  # the sender's warm-up send, ahead of a train's first deadline
+_WARM_UP_LEAD_NS = 200_000  # from scheduling a train, warm-up send included, to its first deadline
 MAX_TRAIN_PACKETS = (1 << 16) - 1  # train_len is a 16-bit wire field
 
 
@@ -84,10 +83,10 @@ class SessionParams:
         )
 
     def expected_duration_ns(self) -> int:
-        """Planned sender time: per train, the start lead, the send span
+        """Planned sender time: per train, the warm-up lead, the send span
         and the inter-train gap."""
         gap = build_schedule(self.train_spec(0), 0).gap
-        per_train = _START_LEAD_NS + (self.n_packets - 1) * gap + self.inter_train_gap_ns
+        per_train = _WARM_UP_LEAD_NS + (self.n_packets - 1) * gap + self.inter_train_gap_ns
         return self.n_trains * per_train
 
 
@@ -159,15 +158,15 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     equal (a clock too coarse for its span) is zero-duration. A transport
     failure marks the current and all remaining trains failed.
 
-    Each train is scheduled 4 ms ahead. In either pacer mode the sender
-    makes a hybrid wait until a fixed lead (200 us) before the first
-    deadline and calls ``endpoint.warm_up()``, so a cold first ``sendto``
-    (about 50 us on a localhost UDP socket, where this was measured) is
-    paid outside the train's span, not between its first two stamps. The
-    lead is some four times that cost, so packet 0 still leaves on time.
-    A failed warm-up is ignored: the train's own sends report a real
-    socket fault. ``params.pacer`` paces the train itself, and the
-    inter-train gap is slept after every train but the last.
+    Once a train's buffers are built, its first deadline is set a fixed
+    lead (200 us) ahead and the sender calls ``endpoint.warm_up()``, so a
+    cold first ``sendto`` (about 50 us on a localhost UDP socket, where
+    this was measured) is paid outside the train's span, not between its
+    first two stamps. The lead is some four times that cost, so packet 0
+    still leaves on time. A failed warm-up is ignored: the train's own
+    sends report a real socket fault. ``params.pacer`` waits out the rest
+    of the lead and paces the train, and the inter-train gap is slept
+    after every train but the last.
     """
     payload_size = params.geometry.payload_size
     records: list[TrainRecord] = []
@@ -195,8 +194,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
         def emit(i: int) -> int:
             return endpoint.send(bufs[i], stamp_probe=True)
 
-        schedule = build_schedule(spec, time.monotonic_ns() + _START_LEAD_NS)
-        wait_until(schedule.start - _WARM_UP_LEAD_NS)
+        schedule = build_schedule(spec, time.monotonic_ns() + _WARM_UP_LEAD_NS)
         try:
             endpoint.warm_up()
         except OSError:
@@ -363,9 +361,9 @@ def run_paired(
 ) -> tuple[list[TrainRecord], list[TrainRecord], ApcReport]:
     """Run sender and receiver threads over two endpoints of one path.
 
-    The receiver thread starts first; the sender's 4 ms start lead gives
-    it time to block on its endpoint before the first packet, and a
-    packet that comes sooner waits in the endpoint's queue. Neither
+    The receiver thread starts first; the sender does not wait for it to
+    block, so train 0's first packets may wait in the queue, and a UDP
+    endpoint then stamps them late, as they are read. Neither
     thread changes interpreter-wide state. The sender's exception, else
     the receiver's, reaches the caller.
     """

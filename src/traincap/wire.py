@@ -176,8 +176,6 @@ def decode_probe(data: bytes) -> ProbePacket:
     if len(data) < HEADER_SIZE:
         raise ValueError("truncated probe")
     seq, secs, frac, err, train_id, train_len = struct.unpack_from(HEADER_FORMAT, data)
-    if seq >= train_len:
-        raise ValueError("inconsistent header")
     return ProbePacket(
         seq=seq,
         send_ts=NtpTimestamp(secs, frac),

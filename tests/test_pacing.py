@@ -73,6 +73,13 @@ class TestPaceSend:
         assert len(ts) == 1
         assert ts[0] >= start
 
+    def test_empty_schedule_emits_nothing(self):
+        def emit(i):
+            raise AssertionError("an empty schedule has no packet to emit")
+
+        assert pace_send([], emit, SPIN) == []
+        assert pace_send([], emit) == []
+
     def test_timestamps_honor_schedule(self):
         start = time.monotonic_ns() + 100_000
         schedule = [start + i * 50_000 for i in range(20)]

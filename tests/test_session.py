@@ -10,6 +10,8 @@ import time
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import stats_oracle
 from traincap import pacing, session, simnet, transport, wire
@@ -67,8 +69,8 @@ def quick_params(**kw):
 
 class TestSessionParams:
     def test_expected_duration_covers_sender_plan(self):
-        # run_sender schedules each train a start lead ahead, spans (N-1)
-        # gaps, then sleeps the inter-train gap.
+        # run_sender schedules each train the warm-up lead ahead, spans
+        # (N-1) gaps, then sleeps the inter-train gap.
         cases = [
             dict(n_trains=500, n_packets=50, desired_rate=10e9, inter_train_gap_ns=500_000),
             dict(n_trains=10, n_packets=50, desired_rate=1e8, inter_train_gap_ns=10_000_000),
@@ -79,7 +81,7 @@ class TestSessionParams:
             params = SessionParams(**kw)
             gap = build_schedule(params.train_spec(0), 0).gap
             plan = params.n_trains * (
-                session._START_LEAD_NS
+                session._WARM_UP_LEAD_NS
                 + (params.n_packets - 1) * gap
                 + params.inter_train_gap_ns
             )
@@ -378,60 +380,25 @@ class TestWarmUp:
 
 class TestFirstDeadlineApproach:
     @pytest.mark.parametrize("mode", [HYBRID, PURE_SPIN])
-    def test_sender_never_sleeps_into_the_spin_window(self, monkeypatch, mode):
-        """In either pacer mode, the sender's last sleep before the warm-up
-        is planned to end one spin window before the warm-up's instant,
-        and no packet leaves before the first scheduled instant. Planned
-        ends, not wake times, so a host pause cannot fail it."""
-        params = quick_params(n_trains=1, n_packets=10, desired_rate=1e9,
-                              pacer=PacerConfig(mode=mode))
-        events, schedules, last_read = [], [], [0]
-        real_clock, real_sleep = time.monotonic_ns, time.sleep
-
-        def clock():
-            last_read[0] = real_clock()
-            return last_read[0]
-
-        def sleep(seconds):
-            # The sender's own last reading, so a host pause cannot skew it.
-            events.append(last_read[0] + round(seconds * 1e9))
-            real_sleep(seconds)
-
-        def schedule(spec, start):
-            schedules.append(build_schedule(spec, start))
-            return schedules[-1]
-
-        monkeypatch.setattr(time, "monotonic_ns", clock)
-        monkeypatch.setattr(time, "sleep", sleep)
-        monkeypatch.setattr(session, "build_schedule", schedule)
-        a, b = loopback_pair(params.geometry.payload_size)
-        a.warm_up = lambda: events.append("warm_up")
-        try:
-            (record,) = run_sender(params, a)
-        finally:
-            a.close()
-            b.close()
-        (first,) = [sched.start for sched in schedules]
-        warm = events.index("warm_up")
-        assert warm > 0, "no sleep before the warm-up"
-        planned_end = events[warm - 1]
-        expected = first - session._WARM_UP_LEAD_NS - pacing._SPIN_WINDOW_NS
-        assert abs(planned_end - expected) <= 1_000
-        assert record.send_ts[0] >= first
-
-    def test_hybrid_sender_never_sleeps_between_warm_up_and_first_packet(self, monkeypatch):
-        # The hybrid spin window is at least the warm-up lead, so pace_send's
-        # wait for packet 0 only spins: a sleep there could overrun the
-        # first deadline after the send path was warmed.
-        assert pacing._SPIN_WINDOW_NS >= session._WARM_UP_LEAD_NS
-        params = quick_params(n_trains=1, n_packets=10, desired_rate=1e9,
-                              pacer=PacerConfig(mode=HYBRID))
-        events = []
+    def test_no_sleep_from_schedule_to_packet_0(self, monkeypatch, mode):
+        """In either pacer mode, each train goes from the clock reading its
+        schedule starts from, through the warm-up, to packet 0 without a
+        sleep that could overrun the first deadline, and packet 0 never
+        leaves before its instant. The one sleep per train is the
+        inter-train gap, so the sleep counter is live."""
+        params = quick_params(n_trains=2, n_packets=10, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000, pacer=PacerConfig(mode=mode))
+        events, schedules = [], []
         real_sleep = time.sleep
 
         def sleep(seconds):
             events.append("sleep")
             real_sleep(seconds)
+
+        def schedule(spec, start):
+            events.append("schedule")
+            schedules.append(build_schedule(spec, start))
+            return schedules[-1]
 
         a, b = loopback_pair(params.geometry.payload_size)
         send = a.send
@@ -443,15 +410,20 @@ class TestFirstDeadlineApproach:
         a.warm_up = lambda: events.append("warm_up")
         a.send = recording_send
         monkeypatch.setattr(time, "sleep", sleep)
+        monkeypatch.setattr(session, "build_schedule", schedule)
         try:
-            (record,) = run_sender(params, a)
+            records = run_sender(params, a)
         finally:
             a.close()
             b.close()
-        assert record.status is TrainStatus.COMPLETE
-        warm = events.index("warm_up")
-        assert events[warm + 1] == ("send", 0)
-        assert "sleep" in events[:warm]
+        assert all(r.status is TrainStatus.COMPLETE for r in records)
+        packets = [("send", seq) for seq in range(params.n_packets)]
+        assert events == [
+            "schedule", "warm_up", *packets, "sleep",
+            "schedule", "warm_up", *packets,
+        ]
+        for sched, rec in zip(schedules, records):
+            assert rec.send_ts[0] >= sched.start
 
 
 class TestInBandStamps:
@@ -535,7 +507,7 @@ class TestInBandStamps:
 
 class TestSendPathBuildsNoObjects:
     def test_counts_do_not_grow_with_train_length(self, monkeypatch):
-        counts = {"ns_to_ntp": 0, "SlackReport": 0}
+        counts = {"ns_to_ntp": 0, "SlackReport": 0, "patch_send_ns": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -546,6 +518,7 @@ class TestSendPathBuildsNoObjects:
 
         monkeypatch.setattr(wire, "ns_to_ntp", counting("ns_to_ntp", wire.ns_to_ntp))
         monkeypatch.setattr(pacing, "SlackReport", counting("SlackReport", pacing.SlackReport))
+        monkeypatch.setattr(wire, "patch_send_ns", counting("patch_send_ns", wire.patch_send_ns))
         seen = []
         for n_packets in (2, 40):
             counts.update(dict.fromkeys(counts, 0))
@@ -554,7 +527,11 @@ class TestSendPathBuildsNoObjects:
                                   inter_train_gap_ns=1_000_000)
             assert all(r.status is TrainStatus.COMPLETE for r in run_sender(params, a))
             seen.append(dict(counts))
-        assert seen[0]["SlackReport"] > 0  # the counter sees the per-train waits
+        # The counters are live: every probe's stamp is patched through
+        # `wire`, and a wait builds its report through `pacing`.
+        assert [c.pop("patch_send_ns") for c in seen] == [2 * 2, 2 * 40]
+        pacing.wait_until(0)
+        assert counts["SlackReport"] == seen[1]["SlackReport"] + 1
         assert seen[0] == seen[1]
 
 
@@ -747,6 +724,154 @@ class TestLateDatagrams:
         assert [(train_id, seq) for seq, train_id, _ in script.sent] == [
             *((0, seq) for seq in range(5)),
             *((1, seq) for seq in range(10)),
+        ]
+
+
+class TestTrainAssemblyProperties:
+    """``_trains`` as a state machine in virtual time, through both roles.
+
+    Hypothesis builds sessions of 4-packet trains with lost, duplicated
+    and delayed datagrams (a delayed one can arrive after its train ended:
+    a late tail), strays that cannot be this session's probes, empty waits
+    (None), and gaps between arrivals that include the idle timeout
+    exactly and 1 ns either side of it. No case waits on the wall clock.
+    """
+
+    TRAIN_LEN = 4
+    IDLE = SessionParams.idle_timeout_ns
+    GAPS = (1, 12_000, IDLE - 1, IDLE, IDLE + 1, 3 * IDLE)
+
+    class VirtualPath(TestLateDatagrams.Script):
+        """Replays ``(payload, gap)`` items in virtual time.
+
+        A datagram arrives ``gap`` ns after the previous event and is
+        delivered if it arrives before the role's deadline; otherwise the
+        wait ends empty at the deadline and the datagram stays queued. A
+        None item is a wait that ends empty. The role's clock reads the
+        virtual time, and every delivered stamp is distinct.
+        """
+
+        def __init__(self, items):
+            super().__init__(items)
+            self.now = 10**12
+            self.arrival = None  # of the next datagram, once it is looked at
+            self.delivered = []
+            self.reflected = []
+
+        def monotonic_ns(self):
+            return self.now
+
+        def recv_from(self, deadline):
+            self.deadlines.append(deadline)
+            if self.items and self.items[0] is not None:
+                payload, gap = self.items[0]
+                if self.arrival is None:
+                    self.arrival = self.now + gap
+                if self.arrival < deadline:
+                    self.items.pop(0)
+                    self.now, self.arrival = self.arrival, None
+                    self.delivered.append((payload, self.now))
+                    return payload, self.now, ("192.0.2.1", 9)
+            elif self.items:
+                self.items.pop(0)
+            self.now = deadline
+            return None
+
+        def send(self, payload, remote=None, *, stamp_probe=False):
+            self.reflected.append(payload)
+            return super().send(payload, remote, stamp_probe=stamp_probe)
+
+    @staticmethod
+    @st.composite
+    def sessions(draw):
+        """``(kind, train_id, seq, gap)`` per item; kind None is an empty wait."""
+        n = TestTrainAssemblyProperties.TRAIN_LEN
+        sent = [
+            ("probe", train_id, seq)
+            for train_id in range(draw(st.integers(1, 4)))
+            for seq in range(n)
+            for _ in range(draw(st.sampled_from((1, 1, 1, 1, 0, 2))))  # kept, lost, duplicated
+        ]
+        for _ in range(draw(st.integers(0, 3))):  # delayed datagrams
+            if sent:
+                i = draw(st.integers(0, len(sent) - 1))
+                sent.insert(draw(st.integers(i, len(sent) - 1)), sent.pop(i))
+        strays = st.one_of(
+            st.tuples(st.just("short"), st.integers(0, 4), st.integers(0, n - 1)),
+            st.tuples(st.just("probe"), st.integers(0, 4), st.integers(n, 2 * n)),
+        )
+        extras = draw(st.lists(strays, max_size=3)) + [(None, 0, 0)] * draw(st.integers(0, 1))
+        for extra in extras:
+            sent.insert(draw(st.integers(0, len(sent))), extra)
+        # Mostly 12 us, so that many trains end whole.
+        gaps = st.sampled_from((12_000,) * 9 + TestTrainAssemblyProperties.GAPS)
+        return [(*item, draw(gaps)) for item in sent]
+
+    def _path(self, session_items):
+        items = []
+        for kind, train_id, seq, gap in session_items:
+            if kind is None:
+                items.append(None)
+                continue
+            payload = bytearray(158 if kind == "short" else 1472)
+            struct.pack_into(wire.HEADER_FORMAT, payload, 0, seq, 0, 0, 0, train_id, self.TRAIN_LEN)
+            items.append((payload, gap))
+        return self.VirtualPath(items)
+
+    def _run(self, role, session_items):
+        path = self._path(session_items)
+        params = quick_params(n_trains=10, n_packets=self.TRAIN_LEN)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(session, "time", types.SimpleNamespace(monotonic_ns=path.monotonic_ns))
+            result = role(params, path, overall_timeout_ns=10**12)
+        probes = {  # delivered stamp -> (train_id, seq) of each datagram that can be a probe
+            ts: (train_id, seq)
+            for payload, ts in path.delivered
+            if len(payload) == 1472
+            for seq, train_id, train_len in [wire.peek_train_fields(payload)]
+            if seq < train_len
+        }
+        return result, path, probes
+
+    def _check_train(self, train_id, seqs, stamps, whole, probes):
+        assert len(seqs) == len(stamps)
+        assert all(probes[ts] == (train_id, seq) for seq, ts in zip(seqs, stamps))
+        # Whole iff it holds train_len distinct seqs, and then it ends with
+        # the datagram that made it whole.
+        assert whole == (len(set(seqs)) == self.TRAIN_LEN)
+        if whole:
+            assert len(set(seqs[:-1])) < self.TRAIN_LEN
+
+    @given(sessions())
+    @settings(max_examples=300, deadline=None)
+    def test_receiver_and_reflector(self, session_items):
+        (records, _), _, probes = self._run(run_receiver, session_items)
+        log, path, reflected_probes = self._run(run_reflector, session_items)
+        assert reflected_probes == probes
+
+        # At most one record per train_id, and no datagram counted twice.
+        assert len({r.train_id for r in records}) == len(records)
+        stamps = [ts for r in records for ts in r.recv_ts]
+        assert len(set(stamps)) == len(stamps)
+        for r in records:
+            whole = r.status is not TrainStatus.LOSSY
+            self._check_train(r.train_id, r.received_seqs, r.recv_ts, whole, probes)
+
+        assert len({e.train_id for e in log}) == len(log)
+        assert len({id(p) for p in path.reflected}) == len(path.reflected)
+        assert [ts for e in log for ts in e.ingress_ts] == [
+            ts for p in path.reflected for q, ts in path.delivered if q is p
+        ]
+        offset = 0
+        for e in log:
+            seqs = [seq for seq, _, _ in path.sent[offset:offset + len(e.egress_ts)]]
+            offset += len(e.egress_ts)
+            assert e.n_expected == self.TRAIN_LEN
+            self._check_train(e.train_id, seqs, e.ingress_ts, not e.partial, probes)
+
+        # Both roles assemble the same trains from the same arrivals.
+        assert [(r.train_id, r.recv_ts) for r in records] == [
+            (e.train_id, e.ingress_ts) for e in log
         ]
 
 
