@@ -380,7 +380,7 @@ class TestWarmUp:
 
 class TestFirstDeadlineApproach:
     @pytest.mark.parametrize("mode", [HYBRID, PURE_SPIN])
-    def test_no_sleep_from_schedule_to_packet_0(self, monkeypatch, mode):
+    def test_sender_never_sleeps_into_the_spin_window(self, monkeypatch, mode):
         """In either pacer mode, each train goes from the clock reading its
         schedule starts from, through the warm-up, to packet 0 without a
         sleep that could overrun the first deadline, and packet 0 never
@@ -424,6 +424,44 @@ class TestFirstDeadlineApproach:
         ]
         for sched, rec in zip(schedules, records):
             assert rec.send_ts[0] >= sched.start
+
+    def test_hybrid_sender_never_sleeps_between_warm_up_and_first_packet(self, monkeypatch):
+        # The hybrid spin window is at least the warm-up lead, so pace_send's
+        # wait for packet 0 only spins: a sleep there could overrun the
+        # first deadline after the send path was warmed.
+        assert pacing._SPIN_WINDOW_NS >= session._WARM_UP_LEAD_NS
+        params = quick_params(n_trains=2, n_packets=10, desired_rate=1e9,
+                              inter_train_gap_ns=1_000_000, pacer=PacerConfig(mode=HYBRID))
+        events = []
+        real_sleep = time.sleep
+
+        def sleep(seconds):
+            events.append("sleep")
+            real_sleep(seconds)
+
+        a, b = loopback_pair(params.geometry.payload_size)
+        send = a.send
+
+        def recording_send(payload, remote=None, *, stamp_probe=False):
+            events.append(("send", wire.peek_train_fields(payload)[0]))
+            return send(payload, remote, stamp_probe=stamp_probe)
+
+        a.warm_up = lambda: events.append("warm_up")
+        a.send = recording_send
+        monkeypatch.setattr(time, "sleep", sleep)
+        try:
+            records = run_sender(params, a)
+        finally:
+            a.close()
+            b.close()
+        assert all(r.status is TrainStatus.COMPLETE for r in records)
+        warms = [i for i, e in enumerate(events) if e == "warm_up"]
+        assert len(warms) == params.n_trains
+        for warm in warms:
+            assert events[warm + 1] == ("send", 0)
+        # The sleep counter is live: the inter-train gap sleeps, and it
+        # comes before the second train's warm-up.
+        assert "sleep" in events[warms[0]:warms[1]]
 
 
 class TestInBandStamps:
