@@ -10,6 +10,7 @@ on hosts with coarse sleep granularity.
 import time
 
 from traincap import HYBRID, PURE_SPIN, PacerConfig, pace_send, wait_until
+from traincap.wire import NtpTimestamp, ProbePacket, decode_probe, encode_probe, ntp_to_ns
 
 
 def measure(cfg, spacing_ns, count=400):
@@ -37,7 +38,15 @@ print()
 print("pacing a 10-packet train at 1 ms gaps (pure spin):")
 start = time.monotonic_ns() + 500_000
 schedule = [start + i * 1_000_000 for i in range(10)]
-stamps = pace_send(schedule, lambda i: time.monotonic_ns(), PacerConfig(mode=PURE_SPIN))
+probes = [
+    bytearray(encode_probe(ProbePacket(seq=i, send_ts=NtpTimestamp(0, 0), train_len=10), 64))
+    for i in range(10)
+]
+# pace_send stamps each probe in place, then hands it to the send hook;
+# here the hook sends nothing.
+stamps = pace_send(schedule, probes, lambda probe, ts: None, PacerConfig(mode=PURE_SPIN))
 for i, (deadline, stamp) in enumerate(zip(schedule, stamps)):
     print(f"  packet {i}: {stamp - deadline:>6} ns after its deadline")
 print(f"  span of the train: {(stamps[-1] - schedule[0]) / 1e6:.3f} ms (ideal 9.000)")
+carried = max(abs(ntp_to_ns(decode_probe(p).send_ts) - t) for p, t in zip(probes, stamps))
+print(f"  each probe's in-band send_ts is its stamp within {carried} ns")

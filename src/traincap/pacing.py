@@ -1,4 +1,4 @@
-"""Deadline waiting and paced per-packet send loops.
+"""Deadline waiting and the sender's paced per-probe send loop.
 
 Deadlines are absolute readings of the monotonic clock
 (``time.monotonic_ns``). Only same-host differences are ever computed, so
@@ -17,16 +17,26 @@ Two modes:
 
 Both waits share the private ``_wait``, which returns the wake-up clock
 reading as an int. :func:`wait_until` wraps that reading in a
-:class:`SlackReport`. :func:`pace_send` builds no report: per packet it
-reads the clock once, emits at once when the deadline is reached, and
-otherwise calls ``_wait``.
+:class:`SlackReport`.
+
+:func:`pace_send` is the sender's whole per-probe path. Per probe it
+reads the clock once, for its deadline check, and only waits (``_wait``)
+when that deadline is still ahead. The deadline check's reading, or the
+wake reading, is the probe's send stamp: the loop writes it into the
+probe's ``send_ts`` field in place, with :mod:`.wire`'s layout and
+arithmetic, and then calls the endpoint's ``send(payload, ts)`` hook,
+its one Python-level call per probe. No report or timestamp object is
+built.
 """
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from . import wire
 
 PURE_SPIN = "pure-spin"
 HYBRID = "hybrid"
@@ -92,29 +102,55 @@ def _wait(deadline: int, cfg: PacerConfig) -> int:
 
 def pace_send(
     schedule: Sequence[int],
-    emit: Callable[[int], int],
+    payloads: Sequence[bytearray],
+    send: Callable[[bytearray, int], object],
     cfg: PacerConfig = PacerConfig(),
 ) -> list[int]:
-    """Emit one packet per scheduled instant; return the emit timestamps.
+    """Stamp and send one probe per scheduled instant; return the stamps.
 
-    ``emit(i)`` performs the send of packet ``i`` and returns its send
-    timestamp (monotonic ns). Packet ``i`` is never emitted before
-    ``schedule[i]``. A late start moves the whole schedule by its
-    lateness, so the train keeps its spacing; a later deadline already
-    passed (a slow emit or a host pause) is emitted without waiting, so
-    the timestamps reflect the slower reality. An exception raised by
-    ``emit`` aborts the train and propagates to the caller, which is
-    responsible for marking the train invalid.
+    ``payloads[i]`` is packet ``i``, an encoded probe that is patched in
+    place: its ``send_ts`` field gets the packet's send stamp (monotonic
+    ns), the same reading returned for it, and ``send(payloads[i],
+    stamp)`` then sends it. Packet ``i`` is never stamped before
+    ``schedule[i]``, and the stamps are strictly increasing: a reading
+    that does not pass the previous stamp is bumped to 1 ns after it.
+
+    Packet 0's stamp sets the pace of the rest: packet ``i`` waits for
+    ``schedule[i]`` moved by packet 0's lateness, so a train that starts
+    late, even from a stall just before packet 0, keeps its spacing. A
+    later deadline already passed (a slow ``send`` or a host pause) is
+    sent without waiting, so the stamps reflect the slower reality. A
+    stamp outside the 32.32 range raises ``ValueError`` before its send,
+    and an exception raised by ``send`` aborts the train; both propagate
+    to the caller, which is responsible for marking the train invalid.
     """
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if not all(map(operator.lt, schedule, schedule[1:])):
         raise ValueError("schedule instants must be strictly increasing")
+    if len(payloads) != len(schedule):
+        raise ValueError("one payload per scheduled instant")
     if not schedule:
         return []
     clock = time.monotonic_ns
-    late = max(0, clock() - schedule[0])
-    timestamps: list[int] = []
-    for i, instant in enumerate(schedule):
-        if clock() < instant + late:
-            _wait(instant + late, cfg)
-        timestamps.append(emit(i))
-    return timestamps
+    pack_into = wire._SEND_TS.pack_into
+    max_ns, ns_per_s = wire._MAX_NS, wire._NS_PER_S
+    half_s = ns_per_s // 2
+    first = schedule[0]
+    stamps: list[int] = []
+    last = first - 1  # packet 0 is stamped at or after first: never bumped
+    shift = 0
+    for instant, payload in zip(schedule, payloads):
+        t = clock()
+        if t < instant + shift:
+            t = _wait(instant + shift, cfg)
+        if t <= last:
+            t = last + 1
+        if not 0 <= t < max_ns:
+            wire.ns_to_ntp(t)  # raises the ValueError that names the bound
+        last = t
+        # wire.patch_send_ns inline: a call here would cost as much as the work.
+        seconds, rem = divmod(t, ns_per_s)
+        pack_into(payload, 4, seconds, (rem * (1 << 32) + half_s) // ns_per_s)
+        send(payload, t)
+        stamps.append(t)
+        shift = stamps[0] - first  # fixed from packet 0 on
+    return stamps

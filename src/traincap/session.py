@@ -153,8 +153,9 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
     """Pace and send the configured trains; return sender-side records.
 
     Packets are fully pre-built per train except the timestamp field,
-    which the endpoint patches with the same clock reading it returns as
-    the packet's send stamp. A train whose first and last stamps are
+    which ``pace_send`` patches with the same clock reading it returns as
+    the packet's send stamp, before handing the packet to the endpoint's
+    ``send_stamped`` hook. A train whose first and last stamps are
     equal (a clock too coarse for its span) is zero-duration. A transport
     failure marks the current and all remaining trains failed.
 
@@ -190,17 +191,13 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
             )
             for i in range(params.n_packets)
         ]
-
-        def emit(i: int) -> int:
-            return endpoint.send(bufs[i], stamp_probe=True)
-
         schedule = build_schedule(spec, time.monotonic_ns() + _WARM_UP_LEAD_NS)
         try:
             endpoint.warm_up()
         except OSError:
             pass  # a real socket fault shows in the probe sends below
         try:
-            send_ts = pace_send(schedule.send_instants, emit, params.pacer)
+            send_ts = pace_send(schedule.send_instants, bufs, endpoint.send_stamped, params.pacer)
         except (TransportError, OSError):
             records.append(TrainRecord(train_id, spec, status=TrainStatus.FAILED))
             failed = True

@@ -11,15 +11,22 @@ Two real backends share one endpoint contract:
 
 Timestamps: ``send`` reads the monotonic clock immediately before handing
 the payload to the backend; a receive stamps the instant the backend
-delivered the datagram. Send timestamps on one endpoint are strictly
-increasing; a same-ns collision is bumped by 1 ns.
+delivered the datagram. The stamps ``send`` returns on one endpoint are
+strictly increasing; a same-ns collision is bumped by 1 ns.
 
 In-band stamps: ``send(buf, stamp_probe=True)`` also writes that same
 reading into the probe's ``send_ts`` field of ``buf`` (a writable,
 already-encoded probe) before handing it off, so the stamp a probe
 carries and the stamp ``send`` returns are one clock reading. This is
-the whole per-packet send path of the sender and reflector roles: one
-clock read, one field patch, one ``sendto``.
+the reflector's per-packet send path: one clock read, one field patch,
+one ``sendto``.
+
+The sender's hook: ``send_stamped(buf, ts)`` sends a probe that
+:func:`.pacing.pace_send` has already stamped with ``ts`` (its deadline
+check's clock reading) and reads no clock. Over UDP it is one ``sendto``
+to the endpoint's remote; on loopback it queues ``ts`` with a copy of
+the probe, so the peer's receive stamp is still the send stamp. A
+failure is a ``TransportError``, as from ``send``.
 
 Warm-up: on localhost, an endpoint's first ``sendto`` after an idle
 spell was measured some 50 us slower than the next, and a train's send
@@ -124,17 +131,22 @@ class LoopbackEndpoint:
         *,
         stamp_probe: bool = False,
     ) -> int:
-        if self._peer is None:
-            raise TransportError("loopback endpoint has no peer")
         if remote is not None:
             raise TransportError("loopback endpoint sends only to its peer")
         ts = self._stamper.stamp()
         if stamp_probe:
             wire.patch_send_ns(payload, ts)
-        with self._peer._cond:
-            self._peer._queue.append((ts, bytearray(payload)))
-            self._peer._cond.notify()
+        self.send_stamped(payload, ts)
         return ts
+
+    def send_stamped(self, payload: bytes | bytearray, ts: int) -> None:
+        """Queue a copy of a probe already stamped ``ts`` for the peer (module docstring)."""
+        peer = self._peer
+        if peer is None:
+            raise TransportError("loopback endpoint has no peer")
+        with peer._cond:
+            peer._queue.append((ts, bytearray(payload)))
+            peer._cond.notify()
 
     def warm_up(self) -> None:
         """Nothing to warm: an in-memory send has no cold path."""
@@ -210,6 +222,16 @@ class UdpEndpoint:
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
         return ts
+
+    def send_stamped(self, payload: bytes | bytearray, ts: int) -> None:
+        """Send a probe already stamped ``ts`` to the remote (module docstring)."""
+        dest = self._remote
+        if dest is None:
+            raise TransportError("no remote endpoint configured")
+        try:
+            self._sock.sendto(payload, dest)
+        except OSError as exc:
+            raise TransportError(f"send failed: {exc}") from exc
 
     def warm_up(self) -> None:
         """Send one payload-size datagram to the private sink (module docstring)."""

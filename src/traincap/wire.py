@@ -40,7 +40,8 @@ _MAX_NS = (1 << 32) * _NS_PER_S  # seconds field is 32-bit
 
 # Precompiled layouts for the per-packet paths: the send_ts field at
 # offset 4, and (seq, train_id, train_len) skipping send_ts and
-# error_estimate.
+# error_estimate. pacing.pace_send packs send_ts with _SEND_TS itself,
+# with patch_send_ns's arithmetic and _MAX_NS bound inline.
 _SEND_TS = struct.Struct("!II")
 _TRAIN_FIELDS = struct.Struct("!I10xIH")
 
@@ -161,7 +162,8 @@ def patch_send_ns(buf: bytearray, t: int) -> None:
 
     Same bytes, and the same ``ValueError`` for an out-of-range ``t``.
     It repeats :func:`ns_to_ntp`'s arithmetic inline because it runs once
-    per sent packet, where a helper call would cost as much as the work.
+    per stamped ``send``, where a helper call would cost as much as the
+    work; :func:`.pacing.pace_send` repeats it once more in its loop.
     """
     if t < 0:
         raise ValueError("pre-epoch timestamp")

@@ -248,28 +248,30 @@ class TestLoopbackSession:
 
 class TestSenderFailure:
     class FlakyEndpoint:
-        def __init__(self, fail_after):
+        def __init__(self, fail_after, error):
             self.fail_after = fail_after
+            self.error = error
             self.count = 0
 
-        def send(self, payload, remote=None, *, stamp_probe=False):
+        def send_stamped(self, payload, ts):
             self.count += 1
             if self.count > self.fail_after:
-                raise TransportError("backend rejected datagram")
-            return time.monotonic_ns()
+                raise self.error("backend rejected datagram")
 
         def warm_up(self):
             pass
 
     def test_remaining_trains_marked_failed(self):
+        # Whether the hook raises a TransportError or a bare OSError.
         params = quick_params(n_trains=3, n_packets=5, desired_rate=1e9)
-        endpoint = self.FlakyEndpoint(fail_after=7)  # dies during train 1
-        records = run_sender(params, endpoint)
-        assert [r.status for r in records] == [
-            TrainStatus.COMPLETE,
-            TrainStatus.FAILED,
-            TrainStatus.FAILED,
-        ]
+        for error in (TransportError, OSError):
+            endpoint = self.FlakyEndpoint(fail_after=7, error=error)  # dies during train 1
+            records = run_sender(params, endpoint)
+            assert [r.status for r in records] == [
+                TrainStatus.COMPLETE,
+                TrainStatus.FAILED,
+                TrainStatus.FAILED,
+            ]
 
 
 class TestWarmUp:
@@ -281,11 +283,9 @@ class TestWarmUp:
         def __init__(self):
             self.calls = []
 
-        def send(self, payload, remote=None, *, stamp_probe=False):
+        def send_stamped(self, payload, ts):
             seq, train_id, _ = wire.peek_train_fields(payload)
-            ts = time.monotonic_ns()
             self.calls.append(((train_id, seq), ts))
-            return ts
 
         def warm_up(self):
             self.calls.append(("warm_up", time.monotonic_ns()))
@@ -401,14 +401,14 @@ class TestFirstDeadlineApproach:
             return schedules[-1]
 
         a, b = loopback_pair(params.geometry.payload_size)
-        send = a.send
+        send = a.send_stamped
 
-        def recording_send(payload, remote=None, *, stamp_probe=False):
+        def recording_send(payload, ts):
             events.append(("send", wire.peek_train_fields(payload)[0]))
-            return send(payload, remote, stamp_probe=stamp_probe)
+            send(payload, ts)
 
         a.warm_up = lambda: events.append("warm_up")
-        a.send = recording_send
+        a.send_stamped = recording_send
         monkeypatch.setattr(time, "sleep", sleep)
         monkeypatch.setattr(session, "build_schedule", schedule)
         try:
@@ -440,14 +440,14 @@ class TestFirstDeadlineApproach:
             real_sleep(seconds)
 
         a, b = loopback_pair(params.geometry.payload_size)
-        send = a.send
+        send = a.send_stamped
 
-        def recording_send(payload, remote=None, *, stamp_probe=False):
+        def recording_send(payload, ts):
             events.append(("send", wire.peek_train_fields(payload)[0]))
-            return send(payload, remote, stamp_probe=stamp_probe)
+            send(payload, ts)
 
         a.warm_up = lambda: events.append("warm_up")
-        a.send = recording_send
+        a.send_stamped = recording_send
         monkeypatch.setattr(time, "sleep", sleep)
         try:
             records = run_sender(params, a)
@@ -545,7 +545,7 @@ class TestInBandStamps:
 
 class TestSendPathBuildsNoObjects:
     def test_counts_do_not_grow_with_train_length(self, monkeypatch):
-        counts = {"ns_to_ntp": 0, "SlackReport": 0, "patch_send_ns": 0}
+        counts = {"ns_to_ntp": 0, "SlackReport": 0, "pack_send_ts": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -556,7 +556,8 @@ class TestSendPathBuildsNoObjects:
 
         monkeypatch.setattr(wire, "ns_to_ntp", counting("ns_to_ntp", wire.ns_to_ntp))
         monkeypatch.setattr(pacing, "SlackReport", counting("SlackReport", pacing.SlackReport))
-        monkeypatch.setattr(wire, "patch_send_ns", counting("patch_send_ns", wire.patch_send_ns))
+        monkeypatch.setattr(wire, "_SEND_TS", types.SimpleNamespace(
+            pack_into=counting("pack_send_ts", wire._SEND_TS.pack_into)))
         seen = []
         for n_packets in (2, 40):
             counts.update(dict.fromkeys(counts, 0))
@@ -565,9 +566,10 @@ class TestSendPathBuildsNoObjects:
                                   inter_train_gap_ns=1_000_000)
             assert all(r.status is TrainStatus.COMPLETE for r in run_sender(params, a))
             seen.append(dict(counts))
-        # The counters are live: every probe's stamp is patched through
-        # `wire`, and a wait builds its report through `pacing`.
-        assert [c.pop("patch_send_ns") for c in seen] == [2 * 2, 2 * 40]
+        # The counters are live: every probe's stamp is packed with
+        # `wire`'s send_ts layout, and a wait builds its report through
+        # `pacing`.
+        assert [c.pop("pack_send_ts") for c in seen] == [2 * 2, 2 * 40]
         pacing.wait_until(0)
         assert counts["SlackReport"] == seen[1]["SlackReport"] + 1
         assert seen[0] == seen[1]

@@ -94,6 +94,18 @@ class TestLoopback:
             a.send(bytes(32), ("127.0.0.1", 9))
         assert b.recv_from(now() + 1_000_000) is None
 
+    def test_send_stamped_queues_the_given_stamp_and_a_copy(self):
+        # pace_send's hook: the peer receives a copy stamped with the
+        # stamp it was given, and no clock is read for it.
+        a, b = loopback_pair(32)
+        buf = bytearray(32)
+        a.send_stamped(buf, 12_345)
+        buf[0] = 9
+        got, ts, _ = b.recv_from(now() + 100_000_000)
+        assert (bytes(got), ts) == (bytes(32), 12_345)
+        with pytest.raises(TransportError, match="has no peer"):
+            transport.LoopbackEndpoint().send_stamped(buf, 1)
+
     def test_warm_up_sends_nothing(self):
         a, b = loopback_pair(32)
         a.warm_up()
@@ -159,8 +171,27 @@ class TestUdp:
         try:
             with pytest.raises(TransportError, match="no remote endpoint"):
                 ep.send(bytes(64))
+            with pytest.raises(TransportError, match="no remote endpoint"):
+                ep.send_stamped(bytes(64), 1)
         finally:
             ep.close()
+
+    def test_send_stamped_failure_is_a_transport_error(self):
+        rx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=64, local=("127.0.0.1", 0))
+        )
+        tx = UdpEndpoint(
+            BackendDescriptor(kind=OS_DATAGRAM, payload_size=64, remote=rx.local_address)
+        )
+        try:
+            tx.send_stamped(bytes(range(64)), 1)
+            got, _, _ = rx.recv_from(now() + 1_000_000_000)
+            assert got == bytes(range(64))
+        finally:
+            tx.close()
+            rx.close()
+        with pytest.raises(TransportError, match="send failed"):
+            tx.send_stamped(bytes(64), 1)
 
     def test_close_closes_the_warm_up_sink(self):
         ep = UdpEndpoint(
