@@ -4,10 +4,14 @@
 The reflector stores a whole train before sending anything back, so the
 work of reflecting never competes with timestamping the inbound packets.
 This demo shows the ordering guarantee (first reflected packet leaves
-strictly after the last buffered packet arrived) and the idle-timeout
-flush of a train that never completes.
+strictly after the last buffered packet arrived), the spacing of the
+burst (each train goes back through one ``pace_send`` call over a
+schedule 1 ns apart, so its packets leave back to back, one send hook
+call apart, however the train was paced on the way in) and the
+idle-timeout flush of a train that never completes.
 """
 
+import statistics
 import threading
 import time
 
@@ -42,11 +46,18 @@ time.sleep(0.005)
 run_sender(params, sender_end)
 worker.join()
 
+def median_gap_us(stamps):
+    return statistics.median(b - a for a, b in zip(stamps, stamps[1:])) / 1000
+
+
 print("complete trains, buffered then burst back:")
 for entry in result["log"]:
     turnaround = (min(entry.egress_ts) - max(entry.ingress_ts)) / 1000
     print(f"  train {entry.train_id}: {len(entry.egress_ts)} packets reflected, "
           f"first egress {turnaround:.1f} us after last ingress")
+    print(f"    median spacing: {median_gap_us(entry.ingress_ts):.2f} us in, "
+          f"{median_gap_us(entry.egress_ts):.2f} us out (burst span "
+          f"{(entry.egress_ts[-1] - entry.egress_ts[0]) / 1000:.1f} us)")
 
 # Now a train that stops one packet short of its announced length:
 sender_end2, reflector_end2 = loopback_pair(params.geometry.payload_size)

@@ -1,4 +1,4 @@
-"""Deadline waiting and the sender's paced per-probe send loop.
+"""Deadline waiting and the paced per-probe send loop.
 
 Deadlines are absolute readings of the monotonic clock
 (``time.monotonic_ns``). Only same-host differences are ever computed, so
@@ -19,14 +19,14 @@ Both waits share the private ``_wait``, which returns the wake-up clock
 reading as an int. :func:`wait_until` wraps that reading in a
 :class:`SlackReport`.
 
-:func:`pace_send` is the sender's whole per-probe path. Per probe it
-reads the clock once, for its deadline check, and only waits (``_wait``)
-when that deadline is still ahead. The deadline check's reading, or the
-wake reading, is the probe's send stamp: the loop writes it into the
-probe's ``send_ts`` field in place, with :mod:`.wire`'s layout and
-arithmetic, and then calls the endpoint's ``send(payload, ts)`` hook,
-its one Python-level call per probe. No report or timestamp object is
-built.
+:func:`pace_send` is the whole per-probe send path, of the sender's paced
+trains and of the reflector's bursts. Per probe it reads the clock once,
+for its deadline check, and only waits (``_wait``) when that deadline is
+still ahead. The deadline check's reading, or the wake reading, is the
+probe's send stamp: the loop writes it into the probe's ``send_ts``
+field in place, with :mod:`.wire`'s layout and arithmetic, and then
+calls the endpoint's ``send(payload, ts)`` hook, its one Python-level
+call per probe. No report or timestamp object is built.
 """
 
 from __future__ import annotations
@@ -119,10 +119,14 @@ def pace_send(
     ``schedule[i]`` moved by packet 0's lateness, so a train that starts
     late, even from a stall just before packet 0, keeps its spacing. A
     later deadline already passed (a slow ``send`` or a host pause) is
-    sent without waiting, so the stamps reflect the slower reality. A
-    stamp outside the 32.32 range raises ``ValueError`` before its send,
-    and an exception raised by ``send`` aborts the train; both propagate
-    to the caller, which is responsible for marking the train invalid.
+    sent without waiting, so the stamps reflect the slower reality. So
+    the reflector's schedule, 1 ns apart, is a back-to-back burst:
+    packet ``i``'s deadline is at most 1 ns after packet ``i - 1``'s
+    stamp, which a clock read taken after that packet's send has
+    passed, and no packet waits. A stamp outside the 32.32 range raises
+    ``ValueError`` before its send, and an exception raised by ``send``
+    aborts the train; both propagate to the caller, which is
+    responsible for marking the train invalid.
     """
     if not all(map(operator.lt, schedule, schedule[1:])):
         raise ValueError("schedule instants must be strictly increasing")
@@ -147,7 +151,7 @@ def pace_send(
         if not 0 <= t < max_ns:
             wire.ns_to_ntp(t)  # raises the ValueError that names the bound
         last = t
-        # wire.patch_send_ns inline: a call here would cost as much as the work.
+        # wire.ns_to_ntp's arithmetic inline: a call here would cost as much as the work.
         seconds, rem = divmod(t, ns_per_s)
         pack_into(payload, 4, seconds, (rem * (1 << 32) + half_s) // ns_per_s)
         send(payload, t)

@@ -225,15 +225,20 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
     distinct seqs; they are counted only from its ``train_len``-th
     datagram on, so a train without duplicates counts them once.
     Otherwise a train ends, not whole, with the first datagram of another
-    train, an idle timeout after its last datagram, or the overall
-    deadline.
+    train from the same source, an idle timeout after its last datagram,
+    or the overall deadline.
 
     A datagram that cannot be one of this session's probes is dropped:
     one whose length is not the session's payload size, or whose seq is
-    not below its train_len. So is a late datagram of a train already
-    yielded: ids are unique within one receive or reflect call, because
-    ``run_sender`` numbers its trains 0..n-1. Only a datagram that would
-    open a train pays for that check.
+    not below its train_len. So is one from another source than its open
+    train's first datagram, which therefore neither joins nor ends that
+    train: every datagram of a train has one source, the one the
+    reflector sends it back to. ``run_sender`` numbers its trains
+    0..n-1, so a datagram that would open a train is dropped if its id
+    is not below ``params.n_trains``, or if it is a late datagram of a
+    train already yielded (ids are unique within one receive or reflect
+    call). Only a datagram that would open a train pays for these two
+    checks.
 
     The clock is read only when ``recv_from`` returns None; a datagram's
     own receive stamp stands for now otherwise, so a flood of datagrams
@@ -246,9 +251,11 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
     peek = wire.peek_train_fields
     payload_size = params.geometry.payload_size
     idle_timeout = params.idle_timeout_ns
+    n_trains = params.n_trains
     now = time.monotonic_ns()
     overall_deadline = deadline = now + overall_timeout_ns
     train_id = train_len = 0
+    source = None
     opened: set[int] = set()
     arrivals: list[tuple[int, int]] = []
     datagrams: list[tuple] = []
@@ -267,14 +274,14 @@ def _trains(params: SessionParams, endpoint: Endpoint, overall_timeout_ns: int |
         seq, got_id, got_len = peek(got[0])
         if seq >= got_len:
             continue
-        if not arrivals or got_id != train_id:
-            if got_id in opened:
+        if not arrivals or got_id != train_id or got[2] != source:
+            if (arrivals and got[2] != source) or got_id in opened or got_id >= n_trains:
                 continue
             opened.add(got_id)
             if arrivals:
                 yield train_id, train_len, arrivals, datagrams, False
                 arrivals, datagrams = [], []
-            train_id, train_len = got_id, got_len
+            train_id, train_len, source = got_id, got_len, got[2]
         arrivals.append((seq, now))
         datagrams.append(got)
         if len(arrivals) >= train_len and len({s for s, _ in arrivals}) >= train_len:
@@ -327,16 +334,22 @@ def run_reflector(
     The first reflected packet of a train leaves strictly after its last
     buffered packet arrived, so reflection work never perturbs inbound
     timestamps. A train that does not hold all its seqs when it stalls
-    for ``idle_timeout_ns`` (or is interrupted by a new train_id) is
-    reflected as-is and flagged partial, and its later datagrams are
-    dropped. Each packet goes back to its source in the buffer it
-    arrived in, with its ``send_ts`` patched by the endpoint.
+    for ``idle_timeout_ns`` (or is interrupted by a new train_id from its
+    source) is reflected as-is and flagged partial, and its later
+    datagrams are dropped.
+
+    The burst is one ``pace_send`` over a schedule 1 ns apart, so packet
+    0's stamp sets the shift and no packet waits. Its hook is the
+    endpoint's ``stamped_sender`` toward the train's one source (see
+    ``_trains``). Each packet goes back in the buffer it arrived in, with
+    its egress stamp written into its ``send_ts``.
     """
-    send = endpoint.send
+    stamped_sender = endpoint.stamped_sender
     log: list[ReflectionRecord] = []
     trains = _trains(params, endpoint, overall_timeout_ns)
     for train_id, train_len, arrivals, datagrams, whole in trains:
-        egress = [send(payload, source, stamp_probe=True) for payload, _, source in datagrams]
+        payloads = [payload for payload, _, _ in datagrams]
+        egress = pace_send(range(len(payloads)), payloads, stamped_sender(datagrams[0][2]))
         log.append(
             ReflectionRecord(
                 train_id=train_id,

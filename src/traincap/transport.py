@@ -12,21 +12,21 @@ Two real backends share one endpoint contract:
 Timestamps: ``send`` reads the monotonic clock immediately before handing
 the payload to the backend; a receive stamps the instant the backend
 delivered the datagram. The stamps ``send`` returns on one endpoint are
-strictly increasing; a same-ns collision is bumped by 1 ns.
+strictly increasing; a same-ns collision is bumped by 1 ns. ``send``
+writes nothing into the payload.
 
-In-band stamps: ``send(buf, stamp_probe=True)`` also writes that same
-reading into the probe's ``send_ts`` field of ``buf`` (a writable,
-already-encoded probe) before handing it off, so the stamp a probe
-carries and the stamp ``send`` returns are one clock reading. This is
-the reflector's per-packet send path: one clock read, one field patch,
-one ``sendto``.
-
-The sender's hook: ``send_stamped(buf, ts)`` sends a probe that
-:func:`.pacing.pace_send` has already stamped with ``ts`` (its deadline
-check's clock reading) and reads no clock. Over UDP it is one ``sendto``
-to the endpoint's remote; on loopback it queues ``ts`` with a copy of
-the probe, so the peer's receive stamp is still the send stamp. A
-failure is a ``TransportError``, as from ``send``.
+In-band stamps: every probe, the sender's and the reflector's, leaves
+through :func:`.pacing.pace_send`, which stamps it, writes that same
+reading into its ``send_ts`` field and then calls a send hook
+``hook(buf, ts)``. The hook reads no clock. ``stamped_sender(dest)``
+builds the hook toward ``dest``: over UDP one ``sendto`` to ``dest``
+with an ``OSError`` raised as ``TransportError``; on loopback (``dest``
+None) it queues ``ts`` with a copy of the probe for the peer, so the
+peer's receive stamp is still the send stamp. ``send_stamped`` is the
+hook toward the endpoint's remote (on loopback, its peer), which
+``run_sender`` uses; ``run_reflector`` builds one per train, toward the
+train's source. So kernel TX stamps or a batched send would each plug
+into this one hook.
 
 Warm-up: on localhost, an endpoint's first ``sendto`` after an idle
 spell was measured some 50 us slower than the next, and a train's send
@@ -67,7 +67,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import wire
 
@@ -81,6 +81,9 @@ MAX_UDP_PAYLOAD = 65_507  # 65,535 B IPv4 datagram less 20 B IP and 8 B UDP head
 
 class TransportError(OSError):
     """Backend could not be opened or refused a datagram."""
+
+
+SendHook = Callable[[bytes | bytearray, int], None]  # (probe already stamped, its stamp)
 
 
 @dataclass(frozen=True)
@@ -124,19 +127,10 @@ class LoopbackEndpoint:
         self._peer: Optional[LoopbackEndpoint] = None
         self._stamper = _SendStamper()
 
-    def send(
-        self,
-        payload: bytes | bytearray,
-        remote: tuple[str, int] | None = None,
-        *,
-        stamp_probe: bool = False,
-    ) -> int:
-        if remote is not None:
-            raise TransportError("loopback endpoint sends only to its peer")
+    def send(self, payload: bytes | bytearray, remote: tuple[str, int] | None = None) -> int:
+        send_stamped = self.stamped_sender(remote)
         ts = self._stamper.stamp()
-        if stamp_probe:
-            wire.patch_send_ns(payload, ts)
-        self.send_stamped(payload, ts)
+        send_stamped(payload, ts)
         return ts
 
     def send_stamped(self, payload: bytes | bytearray, ts: int) -> None:
@@ -147,6 +141,12 @@ class LoopbackEndpoint:
         with peer._cond:
             peer._queue.append((ts, bytearray(payload)))
             peer._cond.notify()
+
+    def stamped_sender(self, dest: None) -> SendHook:
+        """The send hook toward ``dest``, which must be None: the peer."""
+        if dest is not None:
+            raise TransportError("loopback endpoint sends only to its peer")
+        return self.send_stamped
 
     def warm_up(self) -> None:
         """Nothing to warm: an in-memory send has no cold path."""
@@ -174,7 +174,6 @@ class UdpEndpoint:
     """UDP socket endpoint with a reusable receive buffer."""
 
     def __init__(self, descriptor: BackendDescriptor) -> None:
-        self._remote = descriptor.remote
         self._stamper = _SendStamper()
         sock = sink = None
         try:
@@ -199,39 +198,31 @@ class UdpEndpoint:
         self._warm_up_payload = bytes(descriptor.payload_size)
         # One persistent buffer instead of a per-packet allocation.
         self._recv_buf = bytearray(max(descriptor.payload_size, 2048))
+        self.send_stamped = self.stamped_sender(descriptor.remote)
 
     @property
     def local_address(self) -> tuple[str, int]:
         return self._sock.getsockname()
 
-    def send(
-        self,
-        payload: bytes | bytearray,
-        remote: tuple[str, int] | None = None,
-        *,
-        stamp_probe: bool = False,
-    ) -> int:
-        dest = remote or self._remote
-        if dest is None:
-            raise TransportError("no remote endpoint configured")
+    def send(self, payload: bytes | bytearray, remote: tuple[str, int] | None = None) -> int:
+        send_stamped = self.stamped_sender(remote) if remote else self.send_stamped
         ts = self._stamper.stamp()
-        if stamp_probe:
-            wire.patch_send_ns(payload, ts)
-        try:
-            self._sock.sendto(payload, dest)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
+        send_stamped(payload, ts)
         return ts
 
-    def send_stamped(self, payload: bytes | bytearray, ts: int) -> None:
-        """Send a probe already stamped ``ts`` to the remote (module docstring)."""
-        dest = self._remote
-        if dest is None:
-            raise TransportError("no remote endpoint configured")
-        try:
-            self._sock.sendto(payload, dest)
-        except OSError as exc:
-            raise TransportError(f"send failed: {exc}") from exc
+    def stamped_sender(self, dest: tuple[str, int] | None) -> SendHook:
+        """The send hook toward ``dest``: one ``sendto`` (module docstring)."""
+        sendto = self._sock.sendto
+
+        def send_stamped(payload: bytes | bytearray, ts: int) -> None:
+            if dest is None:
+                raise TransportError("no remote endpoint configured")
+            try:
+                sendto(payload, dest)
+            except OSError as exc:
+                raise TransportError(f"send failed: {exc}") from exc
+
+        return send_stamped
 
     def warm_up(self) -> None:
         """Send one payload-size datagram to the private sink (module docstring)."""

@@ -41,7 +41,7 @@ _MAX_NS = (1 << 32) * _NS_PER_S  # seconds field is 32-bit
 # Precompiled layouts for the per-packet paths: the send_ts field at
 # offset 4, and (seq, train_id, train_len) skipping send_ts and
 # error_estimate. pacing.pace_send packs send_ts with _SEND_TS itself,
-# with patch_send_ns's arithmetic and _MAX_NS bound inline.
+# with ns_to_ntp's arithmetic and _MAX_NS bound inline.
 _SEND_TS = struct.Struct("!II")
 _TRAIN_FIELDS = struct.Struct("!I10xIH")
 
@@ -155,22 +155,6 @@ def encode_probe(p: ProbePacket, payload_size: int) -> bytes:
 def patch_send_ts(buf: bytearray, ts: NtpTimestamp) -> None:
     """Overwrite just the timestamp field of an already-encoded probe."""
     _SEND_TS.pack_into(buf, 4, ts.seconds, ts.fraction)
-
-
-def patch_send_ns(buf: bytearray, t: int) -> None:
-    """``patch_send_ts(buf, ns_to_ntp(t))`` without building objects.
-
-    Same bytes, and the same ``ValueError`` for an out-of-range ``t``.
-    It repeats :func:`ns_to_ntp`'s arithmetic inline because it runs once
-    per stamped ``send``, where a helper call would cost as much as the
-    work; :func:`.pacing.pace_send` repeats it once more in its loop.
-    """
-    if t < 0:
-        raise ValueError("pre-epoch timestamp")
-    if t >= _MAX_NS:
-        raise ValueError("timestamp beyond 32-bit seconds range")
-    seconds, rem = divmod(t, _NS_PER_S)
-    _SEND_TS.pack_into(buf, 4, seconds, (rem * (1 << 32) + _NS_PER_S // 2) // _NS_PER_S)
 
 
 def decode_probe(data: bytes) -> ProbePacket:

@@ -8,6 +8,7 @@ library's own machinery, so the tests cross-check two routes.
 from __future__ import annotations
 
 import random
+import struct
 from fractions import Fraction
 
 from traincap.train import TrainSchedule, TrainSpec
@@ -89,3 +90,18 @@ def stats_oracle(values: list[float]) -> tuple[float, float, float, float, float
     mean_f = float(mean)
     rel = 100.0 * std / mean_f if mean_f > 0 else None
     return float(min(exact)), float(max(exact)), mean_f, std, rel
+
+
+def patch_send_ns(buf: bytearray, t: int) -> None:
+    """The inline stamp's oracle: write ``t`` ns into a probe's ``send_ts``.
+
+    The 32.32 field at offset 4, network byte order, its fraction rounded
+    half up; an out-of-range ``t`` raises ``ns_to_ntp``'s ValueError and
+    leaves ``buf`` untouched.
+    """
+    if t < 0:
+        raise ValueError("pre-epoch timestamp")
+    if t >= (1 << 32) * 10**9:
+        raise ValueError("timestamp beyond 32-bit seconds range")
+    seconds, rem = divmod(t, 10**9)
+    struct.pack_into("!II", buf, 4, seconds, (rem * (1 << 32) + 10**9 // 2) // 10**9)

@@ -9,6 +9,7 @@ import time
 import types
 
 import pytest
+from oracles import patch_send_ns
 
 import traincap.pacing as pacing
 from traincap import wire
@@ -116,7 +117,7 @@ class TestPaceSend:
         for (payload, t, at_send), built in zip(sent, payloads):
             assert payload is built
             want = bytearray(HEADER_SIZE)
-            wire.patch_send_ns(want, t)
+            patch_send_ns(want, t)
             assert at_send == want
 
     def test_total_elapsed_1ms_gaps(self):
@@ -219,7 +220,7 @@ class TestSendClockReads:
 
 
 class TestInlineStamp:
-    """pace_send writes send_ts exactly as wire.patch_send_ns would."""
+    """pace_send writes send_ts exactly as the oracle patch_send_ns would."""
 
     @pytest.mark.parametrize("t", [
         0,
@@ -232,7 +233,7 @@ class TestInlineStamp:
         got = bytearray(b"\xa5" * (HEADER_SIZE + 4))
         want = bytearray(got)
         assert pace_send([0], [got], _ignore, SPIN) == [t]
-        wire.patch_send_ns(want, t)
+        patch_send_ns(want, t)
         assert got == want
 
     @pytest.mark.parametrize("t", [-1, wire._MAX_NS])
@@ -256,5 +257,5 @@ class TestInlineStamp:
         assert ts == [100, 200, 201, 202, 250]
         for payload, t in zip(payloads, ts):
             want = bytearray(HEADER_SIZE)
-            wire.patch_send_ns(want, t)
+            patch_send_ns(want, t)
             assert payload == want

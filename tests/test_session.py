@@ -617,7 +617,7 @@ class TestOverallDeadlineUnderFlood:
             now = time.monotonic_ns()
             return None if now >= self.until else (bytearray(10), now, None)
 
-        def send(self, payload, remote=None, *, stamp_probe=False):
+        def stamped_sender(self, dest):
             raise AssertionError("a flood holds no train to reflect")
 
         def warm_up(self):
@@ -641,8 +641,9 @@ class TestOverallDeadlineUnderFlood:
 
 class TestLateDatagrams:
     """A late datagram of a train already yielded opens no phantom train; a
-    duplicate or a datagram that cannot be this session's probe ends no
-    train early; and the idle deadline is exact.
+    duplicate, a datagram that cannot be this session's probe or one from
+    another address ends no train early; an id outside the session opens
+    none; and the idle deadline is exact.
 
     A scripted endpoint replays probes with synthetic receive stamps, and
     a None in the script is an idle timeout (nothing arrived before the
@@ -650,10 +651,13 @@ class TestLateDatagrams:
     packets and the roles stop after two trains unless a case says so.
     """
 
+    MAIN, OTHER = ("192.0.2.1", 9), ("192.0.2.2", 9)
+
     class Script:
         def __init__(self, items):
             self.items = list(items)
             self.sent = []
+            self.dests = []
             self.deadlines = []
 
         def recv_from(self, deadline):
@@ -662,9 +666,12 @@ class TestLateDatagrams:
             self.deadlines.append(deadline)
             return self.items.pop(0)
 
-        def send(self, payload, remote=None, *, stamp_probe=False):
-            self.sent.append(wire.peek_train_fields(payload))
-            return time.monotonic_ns()
+        def stamped_sender(self, dest):
+            def send_stamped(payload, ts):
+                self.sent.append(wire.peek_train_fields(payload))
+                self.dests.append(dest)
+
+            return send_stamped
 
         def warm_up(self):
             pass
@@ -673,9 +680,12 @@ class TestLateDatagrams:
     def _script(*parts, t=None):
         """Datagrams of ``(train_id, seqs[, payload_size])`` parts, 12 us
         apart from ``t`` (default now), each announcing 10 packets. None
-        passes through, and an int is the next datagram's stamp. The header
-        is packed as given, so a seq may be out of range."""
+        passes through, an int is the next datagram's stamp, and an
+        address is the source of the datagrams that follow (default
+        MAIN). The header is packed as given, so a seq may be out of
+        range."""
         t = time.monotonic_ns() if t is None else t
+        source = TestLateDatagrams.MAIN
         items = []
         for part in parts:
             if part is None:
@@ -684,11 +694,14 @@ class TestLateDatagrams:
             if isinstance(part, int):
                 t = part
                 continue
+            if isinstance(part[0], str):
+                source = part
+                continue
             train_id, seqs, *size = part
             for seq in seqs:
                 payload = bytearray(size[0] if size else 1472)
                 struct.pack_into(wire.HEADER_FORMAT, payload, 0, seq, 0, 0, 0, train_id, 10)
-                items.append((payload, t, ("192.0.2.1", 9)))
+                items.append((payload, t, source))
                 t += 12_000
         return items
 
@@ -696,6 +709,11 @@ class TestLateDatagrams:
         records, _ = run_receiver(quick_params(n_trains=2, n_packets=10),
                                   self.Script(self._script(*parts)))
         return [(r.train_id, r.status) for r in records]
+
+    def _reflect(self, *parts):
+        script = self.Script(self._script(*parts))
+        log = run_reflector(quick_params(n_trains=2, n_packets=10), script)
+        return [(e.train_id, e.partial, len(e.egress_ts)) for e in log], script.dests
 
     def test_receiver_late_tail_after_idle_flush(self):
         got = self._receive((0, range(5)), None, (0, range(5, 10)), (1, range(10)))
@@ -720,12 +738,27 @@ class TestLateDatagrams:
 
     @pytest.mark.parametrize("parts", [
         # 200-byte frames (158-byte payloads) in a 1514-byte session
-        [(0, range(10), 158), (1, range(10)), (2, range(10))],
+        [(1, range(10), 158), (0, range(10)), (1, range(10))],
         # seq 12 in a 10-packet train
-        [(1, [0, 1, 2, 3, 4, 12, 5, 6, 7, 8, 9]), (2, range(10))],
+        [(0, [0, 1, 2, 3, 4, 12, 5, 6, 7, 8, 9]), (1, range(10))],
     ], ids=["wrong-length", "seq-out-of-range"])
     def test_receiver_drops_datagrams_that_are_not_session_probes(self, parts):
-        assert self._receive(*parts) == [(1, TrainStatus.COMPLETE), (2, TrainStatus.COMPLETE)]
+        assert self._receive(*parts) == [(0, TrainStatus.COMPLETE), (1, TrainStatus.COMPLETE)]
+
+    def test_stray_source_neither_joins_nor_ends_a_train(self):
+        # Inside train 0, another address sends a seq of train 0 and the
+        # first seqs of train 1. Train 0 still gets exactly its own ten
+        # datagrams, and train 1 opens only with MAIN's own first datagram.
+        parts = ((0, range(5)), self.OTHER, (0, [5]), (1, [0, 1]),
+                 self.MAIN, (0, range(5, 10)), (1, range(10)))
+        assert self._receive(*parts) == [(0, TrainStatus.COMPLETE), (1, TrainStatus.COMPLETE)]
+        assert self._reflect(*parts) == ([(0, False, 10), (1, False, 10)], [self.MAIN] * 20)
+
+    def test_train_id_outside_the_session_takes_no_record(self):
+        # A whole stray train with id 7 in a two-train session opens nothing.
+        parts = ((7, range(10)), (0, range(10)), (1, range(10)))
+        assert self._receive(*parts) == [(0, TrainStatus.COMPLETE), (1, TrainStatus.COMPLETE)]
+        assert self._reflect(*parts)[0] == [(0, False, 10), (1, False, 10)]
 
     def test_idle_deadline_is_exact(self, monkeypatch):
         # A fixed clock: the role reads it only at the start and after a None.
@@ -772,9 +805,11 @@ class TestTrainAssemblyProperties:
 
     Hypothesis builds sessions of 4-packet trains with lost, duplicated
     and delayed datagrams (a delayed one can arrive after its train ended:
-    a late tail), strays that cannot be this session's probes, empty waits
-    (None), and gaps between arrivals that include the idle timeout
-    exactly and 1 ns either side of it. No case waits on the wall clock.
+    a late tail), strays that cannot be this session's probes, probes
+    from a second address (with a running train_id or a new one), empty
+    waits (None), and gaps between arrivals that include the idle
+    timeout exactly and 1 ns either side of it. No case waits on the
+    wall clock.
     """
 
     TRAIN_LEN = 4
@@ -782,44 +817,59 @@ class TestTrainAssemblyProperties:
     GAPS = (1, 12_000, IDLE - 1, IDLE, IDLE + 1, 3 * IDLE)
 
     class VirtualPath(TestLateDatagrams.Script):
-        """Replays ``(payload, gap)`` items in virtual time.
+        """Replays ``(payload, gap, source)`` items in virtual time.
 
         A datagram arrives ``gap`` ns after the previous event and is
         delivered if it arrives before the role's deadline; otherwise the
         wait ends empty at the deadline and the datagram stays queued. A
-        None item is a wait that ends empty. The role's clock reads the
-        virtual time, and every delivered stamp is distinct.
+        None item is a wait that ends empty. ``events`` logs each
+        delivery as ``(payload, stamp, source)`` and each empty wait as
+        ``(None, deadline, None)``. The role's clock reads the virtual
+        time, and every delivered stamp is distinct. ``pace_send``'s
+        clock reads 1 us further on at each read, so a burst leaves after
+        every arrival so far and takes 1 us per probe.
         """
 
         def __init__(self, items):
             super().__init__(items)
             self.now = 10**12
             self.arrival = None  # of the next datagram, once it is looked at
-            self.delivered = []
+            self.events = []
             self.reflected = []
+            self.tx_ticks = 0
 
         def monotonic_ns(self):
             return self.now
 
+        def tx_clock(self):
+            self.tx_ticks += 1_000
+            return self.now + self.tx_ticks
+
         def recv_from(self, deadline):
             self.deadlines.append(deadline)
             if self.items and self.items[0] is not None:
-                payload, gap = self.items[0]
+                payload, gap, source = self.items[0]
                 if self.arrival is None:
                     self.arrival = self.now + gap
                 if self.arrival < deadline:
                     self.items.pop(0)
                     self.now, self.arrival = self.arrival, None
-                    self.delivered.append((payload, self.now))
-                    return payload, self.now, ("192.0.2.1", 9)
+                    self.events.append((payload, self.now, source))
+                    return payload, self.now, source
             elif self.items:
                 self.items.pop(0)
             self.now = deadline
+            self.events.append((None, deadline, None))
             return None
 
-        def send(self, payload, remote=None, *, stamp_probe=False):
-            self.reflected.append(payload)
-            return super().send(payload, remote, stamp_probe=stamp_probe)
+        def stamped_sender(self, dest):
+            send = super().stamped_sender(dest)
+
+            def send_stamped(payload, ts):
+                self.reflected.append(payload)
+                send(payload, ts)
+
+            return send_stamped
 
     @staticmethod
     @st.composite
@@ -839,8 +889,10 @@ class TestTrainAssemblyProperties:
         strays = st.one_of(
             st.tuples(st.just("short"), st.integers(0, 4), st.integers(0, n - 1)),
             st.tuples(st.just("probe"), st.integers(0, 4), st.integers(n, 2 * n)),
+            # From the second address: ids 0-3 may be running, 4 is always new.
+            st.tuples(st.just("other"), st.integers(0, 4), st.integers(0, n - 1)),
         )
-        extras = draw(st.lists(strays, max_size=3)) + [(None, 0, 0)] * draw(st.integers(0, 1))
+        extras = draw(st.lists(strays, max_size=4)) + [(None, 0, 0)] * draw(st.integers(0, 1))
         for extra in extras:
             sent.insert(draw(st.integers(0, len(sent))), extra)
         # Mostly 12 us, so that many trains end whole.
@@ -855,7 +907,8 @@ class TestTrainAssemblyProperties:
                 continue
             payload = bytearray(158 if kind == "short" else 1472)
             struct.pack_into(wire.HEADER_FORMAT, payload, 0, seq, 0, 0, 0, train_id, self.TRAIN_LEN)
-            items.append((payload, gap))
+            source = TestLateDatagrams.OTHER if kind == "other" else TestLateDatagrams.MAIN
+            items.append((payload, gap, source))
         return self.VirtualPath(items)
 
     def _run(self, role, session_items):
@@ -863,11 +916,13 @@ class TestTrainAssemblyProperties:
         params = quick_params(n_trains=10, n_packets=self.TRAIN_LEN)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(session, "time", types.SimpleNamespace(monotonic_ns=path.monotonic_ns))
+            mp.setattr(pacing, "time", types.SimpleNamespace(monotonic_ns=path.tx_clock))
+            mp.setattr(pacing, "_wait", lambda deadline, cfg: pytest.fail("a burst waited"))
             result = role(params, path, overall_timeout_ns=10**12)
-        probes = {  # delivered stamp -> (train_id, seq) of each datagram that can be a probe
-            ts: (train_id, seq)
-            for payload, ts in path.delivered
-            if len(payload) == 1472
+        probes = {  # stamp -> (train_id, seq, source) of each delivered datagram that can be a probe
+            ts: (train_id, seq, source)
+            for payload, ts, source in path.events
+            if payload is not None and len(payload) == 1472
             for seq, train_id, train_len in [wire.peek_train_fields(payload)]
             if seq < train_len
         }
@@ -875,17 +930,39 @@ class TestTrainAssemblyProperties:
 
     def _check_train(self, train_id, seqs, stamps, whole, probes):
         assert len(seqs) == len(stamps)
-        assert all(probes[ts] == (train_id, seq) for seq, ts in zip(seqs, stamps))
+        assert all(probes[ts][:2] == (train_id, seq) for seq, ts in zip(seqs, stamps))
+        # No stray: every datagram of a train comes from one source.
+        assert len({probes[ts][2] for ts in stamps}) == 1
         # Whole iff it holds train_len distinct seqs, and then it ends with
         # the datagram that made it whole.
         assert whole == (len(set(seqs)) == self.TRAIN_LEN)
         if whole:
             assert len(set(seqs[:-1])) < self.TRAIN_LEN
 
+    @staticmethod
+    def _check_ends(trains, events, probes):
+        """A train that is not whole ends at an empty wait or at the next
+        train's first datagram, and that datagram is from its own source:
+        a stray never ends it. Nothing between its last datagram and its
+        end is a probe of it from its source, so it did not end early."""
+        index = {ts: i for i, (payload, ts, _) in enumerate(events) if payload is not None}
+        firsts = {index[stamps[0]] for _, stamps, _ in trains}
+        for train_id, stamps, whole in trains:
+            if whole:
+                continue
+            last = index[stamps[-1]]
+            source = events[last][2]
+            end = next(i for i in range(last + 1, len(events))
+                       if events[i][0] is None or i in firsts)
+            assert events[end][0] is None or events[end][2] == source
+            for payload, ts, _ in events[last + 1:end]:
+                got = probes.get(ts)
+                assert got is None or (got[0], got[2]) != (train_id, source)
+
     @given(sessions())
     @settings(max_examples=300, deadline=None)
     def test_receiver_and_reflector(self, session_items):
-        (records, _), _, probes = self._run(run_receiver, session_items)
+        (records, _), rx_path, probes = self._run(run_receiver, session_items)
         log, path, reflected_probes = self._run(run_reflector, session_items)
         assert reflected_probes == probes
 
@@ -896,18 +973,31 @@ class TestTrainAssemblyProperties:
         for r in records:
             whole = r.status is not TrainStatus.LOSSY
             self._check_train(r.train_id, r.received_seqs, r.recv_ts, whole, probes)
+        self._check_ends([(r.train_id, r.recv_ts, r.status is not TrainStatus.LOSSY)
+                          for r in records], rx_path.events, probes)
 
         assert len({e.train_id for e in log}) == len(log)
         assert len({id(p) for p in path.reflected}) == len(path.reflected)
         assert [ts for e in log for ts in e.ingress_ts] == [
-            ts for p in path.reflected for q, ts in path.delivered if q is p
+            ts for p in path.reflected for q, ts, _ in path.events if q is p
         ]
         offset = 0
         for e in log:
-            seqs = [seq for seq, _, _ in path.sent[offset:offset + len(e.egress_ts)]]
-            offset += len(e.egress_ts)
+            n = len(e.egress_ts)
+            seqs = [seq for seq, _, _ in path.sent[offset:offset + n]]
             assert e.n_expected == self.TRAIN_LEN
             self._check_train(e.train_id, seqs, e.ingress_ts, not e.partial, probes)
+            # Each probe goes back to its train's source, leaves after the
+            # train's last arrival, and carries its egress stamp.
+            assert path.dests[offset:offset + n] == [probes[e.ingress_ts[0]][2]] * n
+            assert e.ingress_ts[-1] < e.egress_ts[0]
+            assert all(a < b for a, b in zip(e.egress_ts, e.egress_ts[1:]))
+            back = path.reflected[offset:offset + n]
+            assert all(abs(ntp_to_ns(decode_probe(p).send_ts) - ts) <= 1
+                       for p, ts in zip(back, e.egress_ts))
+            offset += n
+        self._check_ends([(e.train_id, e.ingress_ts, not e.partial) for e in log],
+                         path.events, probes)
 
         # Both roles assemble the same trains from the same arrivals.
         assert [(r.train_id, r.recv_ts) for r in records] == [
@@ -1006,6 +1096,28 @@ class TestReflector:
         # the reflected train comes back to the sender side
         got = [a.recv_from(time.monotonic_ns() + 100_000_000) for _ in range(50)]
         assert all(dg is not None for dg in got)
+
+    @pytest.mark.parametrize("udp", [False, True], ids=["loopback", "udp"])
+    def test_burst_never_waits(self, monkeypatch, udp):
+        # Real clock: each train leaves in one back-to-back pace_send burst
+        # that never enters the pacer's wait, with rising stamps, after
+        # the train's last arrival, to the train's source.
+        monkeypatch.setattr(pacing, "_wait", lambda deadline, cfg: pytest.fail("the burst waited"))
+        tx, rx = TestInBandStamps._udp_pair() if udp else loopback_pair(1472)
+        try:
+            params = quick_params(n_trains=2, n_packets=20)
+            for train_id in range(params.n_trains):
+                self._send_train(tx, train_id, range(params.n_packets), train_len=params.n_packets)
+            log = run_reflector(params, rx, overall_timeout_ns=2_000_000_000)
+            assert [(e.train_id, e.partial) for e in log] == [(0, False), (1, False)]
+            for e in log:
+                assert all(a < b for a, b in zip(e.egress_ts, e.egress_ts[1:]))
+                assert e.egress_ts[0] > e.ingress_ts[-1]
+            back = TestInBandStamps._drain(tx, params.n_trains * params.n_packets)
+            assert [decode_probe(p).seq for p in back] == [*range(20), *range(20)]
+        finally:
+            tx.close()
+            rx.close()
 
     def test_partial_flushed_on_idle(self):
         a, b = loopback_pair(1472)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import patch_send_ns
 
 from traincap.wire import (
     HEADER_SIZE,
@@ -18,7 +19,6 @@ from traincap.wire import (
     encode_probe,
     ns_to_ntp,
     ntp_to_ns,
-    patch_send_ns,
     patch_send_ts,
     peek_train_fields,
     require_payload_size,
@@ -71,6 +71,8 @@ class TestNtpConversion:
 
 
 class TestPatchSendNs:
+    """The inline stamp's oracle against the object path: same bytes, same errors."""
+
     @given(st.integers(min_value=0, max_value=_MAX_NS))
     @example(0)
     @example(_MAX_NS)
