@@ -472,21 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run an experiment set or summarize a records file")
     _add_common(p, records=False, sender=False)
-    p.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--experiment", choices=EXPERIMENT_KINDS, default=None)
+    source.add_argument("--in", dest="in_file", default=None, help="records file to summarize")
     p.add_argument("--repeats", type=at_least(1), default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jitter", type=jitter_fraction, default=0.0)
-    p.add_argument("--in", dest="in_file", default=None, help="records file to summarize")
     p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "report" and not args.experiment and not args.in_file:
-        parser.error("report needs --experiment or --in")
+    args = build_parser().parse_args(argv)
     if getattr(args, "jitter", 0) and args.seed is None:
         print("usage: --jitter requires --seed for reproducibility", file=sys.stderr)
         return EXIT_USAGE

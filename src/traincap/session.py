@@ -206,7 +206,7 @@ def run_sender(params: SessionParams, endpoint: Endpoint) -> list[TrainRecord]:
             TrainRecord(
                 train_id,
                 spec,
-                send_ts=[float(t) for t in send_ts],
+                send_ts=send_ts,
                 status=TrainStatus.COMPLETE if send_ts[-1] != send_ts[0] else TrainStatus.ZERO_DURATION,
             )
         )

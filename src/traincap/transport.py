@@ -2,18 +2,20 @@
 
 Two real backends share one endpoint contract:
 
-* ``loopback`` — an in-memory pair of endpoints joined by FIFO queues.
-  Order and content are preserved exactly, and a datagram's receive
-  timestamp is its send timestamp, free of receiver-side scheduling
-  noise.
+* ``loopback`` — an in-memory pair of endpoints joined by two
+  ``queue.SimpleQueue``s, one per direction. Order and content are
+  preserved exactly, and a datagram's receive timestamp is its send
+  timestamp, free of receiver-side scheduling noise.
 * ``os-datagram`` — a UDP socket. The portable OS stack is the one real
   transport; kernel-bypass style paths are modeled in :mod:`.simnet`.
 
-Timestamps: ``send`` reads the monotonic clock immediately before handing
-the payload to the backend; a receive stamps the instant the backend
-delivered the datagram. The stamps ``send`` returns on one endpoint are
-strictly increasing; a same-ns collision is bumped by 1 ns. ``send``
-writes nothing into the payload.
+Timestamps: ``send(payload, remote=None)``, the one ``send`` both
+endpoints share, reads the monotonic clock immediately before handing
+the payload with that stamp to the send hook toward ``remote`` (below;
+the endpoint's own remote if None); a receive stamps the instant the
+backend delivered the datagram. The stamps ``send`` returns on one
+endpoint are strictly increasing; a same-ns collision is bumped by 1 ns.
+``send`` writes nothing into the payload. No role sends through it.
 
 In-band stamps: every probe, the sender's and the reflector's, leaves
 through :func:`.pacing.pace_send`, which stamps it, writes that same
@@ -21,36 +23,40 @@ reading into its ``send_ts`` field and then calls a send hook
 ``hook(buf, ts)``. The hook reads no clock. ``stamped_sender(dest)``
 builds the hook toward ``dest``: over UDP one ``sendto`` to ``dest``
 with an ``OSError`` raised as ``TransportError``; on loopback (``dest``
-None) it queues ``ts`` with a copy of the probe for the peer, so the
-peer's receive stamp is still the send stamp. ``send_stamped`` is the
-hook toward the endpoint's remote (on loopback, its peer), which
-``run_sender`` uses; ``run_reflector`` builds one per train, toward the
-train's source. So kernel TX stamps or a batched send would each plug
-into this one hook.
+None) it puts a copy of the probe with ``ts`` on the peer's queue, so
+the peer's receive stamp is still the send stamp, and then yields the
+interpreter lock once (``time.sleep(0)``), so the peer's receiving
+thread runs between probes. ``send_stamped`` is the hook toward the
+endpoint's remote (on loopback, its peer), which ``run_sender`` uses;
+``run_reflector`` builds one per train, toward the train's source. So
+kernel TX stamps or a batched send would each plug into this one hook.
 
 Warm-up: on localhost, an endpoint's first ``sendto`` after an idle
 spell was measured some 50 us slower than the next, and a train's send
 estimate counts that cost against its span. ``warm_up()`` sends one
 payload-size datagram from the endpoint's own socket to a private sink
-socket, bound to ``127.0.0.1:0`` when the endpoint opens, never read and
-closed with the endpoint; ``run_sender`` calls it a fixed lead before
-each train's first deadline. The datagram never reaches the measured
-path, the remote or the endpoint's own address, and ``send`` does not
-see it. It crosses loopback, so toward a non-loopback remote it warms
-the socket and the interpreter's send path but not the probes' route or
-device; its effect there is unmeasured. Every UDP endpoint opens a sink
-(one more socket and bind), which keeps ``warm_up`` and ``close`` free
-of branches. On loopback ``warm_up`` does nothing.
+socket, bound to ``127.0.0.1:0`` when the endpoint opens and closed with
+the endpoint; ``run_sender`` calls it a fixed lead before each train's
+first deadline. Before that send, ``warm_up`` reads back and discards
+what the non-blocking sink holds (the previous warm-up's datagram), so
+the sink never fills and drops, and the ``sendto`` stays its last call.
+The datagram never reaches the measured path, the remote or the
+endpoint's own address, and ``send`` does not see it. It crosses
+loopback, so toward a non-loopback remote it warms the socket and the
+interpreter's send path but not the probes' route or device; its effect
+there is unmeasured. Every UDP endpoint opens a sink (one more socket
+and bind), which keeps ``warm_up`` and ``close`` free of branches. On
+loopback ``warm_up`` does nothing.
 
 Receiving: ``recv_from(deadline)`` returns a plain ``(payload, ts,
 source)`` tuple, or None once the deadline has passed with nothing to
 deliver. ``payload`` is a writable ``bytearray`` that the caller owns:
 the datagram's bytes copied once, out of UDP's one reusable receive
-buffer (or, on loopback, the copy ``send`` queued), so a caller may keep
-it across later receives and patch it in place. ``ts`` is one clock
-reading taken just after ``recvfrom_into`` returns, before the copy (on
-loopback, the send stamp). ``source`` is the sender's address, or None
-on loopback. This is the whole per-datagram receive path of the
+buffer (or, on loopback, the copy the send hook queued), so a caller
+may keep it across later receives and patch it in place. ``ts`` is one
+clock reading taken just after ``recvfrom_into`` returns, before the
+copy (on loopback, the send stamp). ``source`` is the sender's address,
+or None on loopback. This is the whole per-datagram receive path of the
 receiver and reflector roles: one ``recvfrom_into``, one clock read, one
 copy. It is the one receive form; ``UdpEndpoint.recv`` is another name
 for it.
@@ -61,13 +67,12 @@ receiving thread concurrently, and not shared further.
 
 from __future__ import annotations
 
-import collections
+import queue
 import select
 import socket
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from . import wire
 
@@ -104,43 +109,36 @@ class BackendDescriptor:
             raise ValueError(f"payload of {self.payload_size} B exceeds UDP's {MAX_UDP_PAYLOAD} B")
 
 
-class _SendStamper:
-    """Strictly increasing monotonic send stamps for one endpoint."""
+class _Endpoint:
+    """The one ``send`` both endpoints share (module docstring)."""
 
-    def __init__(self) -> None:
-        self._last = 0
-
-    def stamp(self) -> int:
-        now = time.monotonic_ns()
-        if now <= self._last:
-            now = self._last + 1
-        self._last = now
-        return now
-
-
-class LoopbackEndpoint:
-    """One side of an in-memory datagram pair."""
-
-    def __init__(self) -> None:
-        self._queue: collections.deque[tuple[int, bytearray]] = collections.deque()
-        self._cond = threading.Condition()
-        self._peer: Optional[LoopbackEndpoint] = None
-        self._stamper = _SendStamper()
+    _last_ts = 0
 
     def send(self, payload: bytes | bytearray, remote: tuple[str, int] | None = None) -> int:
-        send_stamped = self.stamped_sender(remote)
-        ts = self._stamper.stamp()
+        send_stamped = self.stamped_sender(remote) if remote is not None else self.send_stamped
+        ts = time.monotonic_ns()
+        if ts <= self._last_ts:
+            ts = self._last_ts + 1
+        self._last_ts = ts
         send_stamped(payload, ts)
         return ts
 
+
+class LoopbackEndpoint(_Endpoint):
+    """One side of an in-memory datagram pair: it receives from ``inbox``
+    and sends into ``outbox``, the peer's inbox."""
+
+    def __init__(self, inbox: queue.SimpleQueue, outbox: queue.SimpleQueue) -> None:
+        self._inbox = inbox
+        self._outbox = outbox
+
     def send_stamped(self, payload: bytes | bytearray, ts: int) -> None:
         """Queue a copy of a probe already stamped ``ts`` for the peer (module docstring)."""
-        peer = self._peer
-        if peer is None:
-            raise TransportError("loopback endpoint has no peer")
-        with peer._cond:
-            peer._queue.append((ts, bytearray(payload)))
-            peer._cond.notify()
+        self._outbox.put((bytearray(payload), ts, None))
+        # A spinning sender holds the interpreter lock until the switch
+        # interval takes it; yielding here lets the peer's receiver drain
+        # each probe as it comes, not a backlog in the middle of a train.
+        time.sleep(0)
 
     def stamped_sender(self, dest: None) -> SendHook:
         """The send hook toward ``dest``, which must be None: the peer."""
@@ -155,26 +153,26 @@ class LoopbackEndpoint:
         # The receive timestamp is the send stamp, not the dequeue time:
         # the in-memory medium exists to give tests a noise-free path, so
         # scheduler lag on the draining thread must not distort it.
-        with self._cond:
-            while not self._queue:
-                remaining = deadline - time.monotonic_ns()
+        while True:
+            remaining = deadline - time.monotonic_ns()
+            try:
+                return self._inbox.get(block=remaining > 0, timeout=remaining / 1e9)
+            except queue.Empty:
                 if remaining <= 0:
                     return None
-                self._cond.wait(remaining / 1e9)
-            ts, payload = self._queue.popleft()
-            return payload, ts, None
 
     def close(self) -> None:
-        with self._cond:
-            self._queue.clear()
-            self._cond.notify_all()
+        try:
+            while True:
+                self._inbox.get_nowait()
+        except queue.Empty:
+            pass
 
 
-class UdpEndpoint:
+class UdpEndpoint(_Endpoint):
     """UDP socket endpoint with a reusable receive buffer."""
 
     def __init__(self, descriptor: BackendDescriptor) -> None:
-        self._stamper = _SendStamper()
         sock = sink = None
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -192,6 +190,7 @@ class UdpEndpoint:
                 opened.close()
             raise TransportError(f"socket or bind failed: {exc}") from exc
         sock.setblocking(False)
+        sink.setblocking(False)
         self._sock = sock
         self._sink = sink
         self._sink_address = sink.getsockname()
@@ -203,12 +202,6 @@ class UdpEndpoint:
     @property
     def local_address(self) -> tuple[str, int]:
         return self._sock.getsockname()
-
-    def send(self, payload: bytes | bytearray, remote: tuple[str, int] | None = None) -> int:
-        send_stamped = self.stamped_sender(remote) if remote else self.send_stamped
-        ts = self._stamper.stamp()
-        send_stamped(payload, ts)
-        return ts
 
     def stamped_sender(self, dest: tuple[str, int] | None) -> SendHook:
         """The send hook toward ``dest``: one ``sendto`` (module docstring)."""
@@ -225,7 +218,13 @@ class UdpEndpoint:
         return send_stamped
 
     def warm_up(self) -> None:
-        """Send one payload-size datagram to the private sink (module docstring)."""
+        """Drain the private sink, then send it one payload-size datagram
+        (module docstring)."""
+        try:
+            while True:
+                self._sink.recv(1)
+        except BlockingIOError:
+            pass
         self._sock.sendto(self._warm_up_payload, self._sink_address)
 
     def recv_from(self, deadline: int) -> tuple[bytearray, int, tuple[str, int]] | None:
@@ -256,11 +255,8 @@ Endpoint = LoopbackEndpoint | UdpEndpoint
 def loopback_pair(payload_size: int) -> tuple[LoopbackEndpoint, LoopbackEndpoint]:
     """Two connected in-memory endpoints; each receives what the other sends."""
     wire.require_payload_size(payload_size)
-    a = LoopbackEndpoint()
-    b = LoopbackEndpoint()
-    a._peer = b
-    b._peer = a
-    return a, b
+    a_to_b, b_to_a = queue.SimpleQueue(), queue.SimpleQueue()
+    return LoopbackEndpoint(b_to_a, a_to_b), LoopbackEndpoint(a_to_b, b_to_a)
 
 
 def open_endpoint(descriptor: BackendDescriptor) -> UdpEndpoint:

@@ -6,12 +6,15 @@ import argparse
 import csv
 import io
 import json
+import queue
+import threading
 
 import pytest
 
 from traincap import cli
 from traincap.cli import (
     EXIT_NO_VALID_TRAINS,
+    EXIT_OK,
     EXIT_TRANSPORT,
     EXIT_USAGE,
     build_parser,
@@ -93,8 +96,10 @@ class TestSimulateCommand:
             assert float(row["est_recv_rate_bps"]) > float(row["desired_rate_bps"])
 
     def test_csv_json_same_values(self, capsys):
+        # A 1 Gbit/s link under a 5 Gbit/s train: the override reaches
+        # the path model, which caps the receive rate but not the send.
         args = ("simulate", "--preset", "bypass", "--packets", "20",
-                "--trains", "4", "--rate", "5G")
+                "--trains", "4", "--rate", "5G", "--link-capacity", "1G")
         _, csv_out = run_cli(capsys, *args, "--out", "csv")
         _, json_out = run_cli(capsys, *args, "--out", "json")
         csv_rows = parse_csv(csv_out)
@@ -107,6 +112,7 @@ class TestSimulateCommand:
             assert float(c["est_send_rate_bps"]) == j["est_send_rate_bps"]
             assert float(c["est_recv_rate_bps"]) == j["est_recv_rate_bps"]
             assert c["status"] == j["status"]
+            assert j["est_recv_rate_bps"] < 1e9 < j["est_send_rate_bps"]
 
     def test_seed_reproduces_byte_identical(self, capsys):
         args = ("simulate", "--preset", "stack", "--packets", "30", "--trains", "5",
@@ -186,6 +192,49 @@ class TestLoopbackCommands:
         rows = parse_csv(out)
         assert rows[0]["status"] == "complete"
         assert float(rows[0]["est_recv_rate_bps"]) > 0
+
+
+class TestUdpCommands:
+    def test_send_to_a_reflector_over_localhost(self, monkeypatch, tmp_path):
+        # reflect runs in a thread; send learns its port from the endpoint
+        # the reflector opened.
+        addresses = queue.Queue()
+        open_endpoint = cli.open_endpoint
+
+        def open_and_tell(descriptor):
+            endpoint = open_endpoint(descriptor)
+            addresses.put(endpoint.local_address)
+            return endpoint
+
+        monkeypatch.setattr(cli, "open_endpoint", open_and_tell)
+        reflected, sent = tmp_path / "reflected.json", tmp_path / "sent.json"
+        codes = {}
+        reflector = threading.Thread(target=lambda: codes.setdefault("reflect", main([
+            "reflect", "--local", "127.0.0.1:0", "--trains", "2", "--timeout", "10",
+            "--out", "json", "--out-file", str(reflected),
+        ])))
+        reflector.start()
+        try:
+            host, port = addresses.get(timeout=10)
+            codes["send"] = main([
+                "send", "--backend", "udp", "--remote", f"{host}:{port}", "--rate", "100M",
+                "--trains", "2", "--packets", "10", "--gap-ms", "1", "--timestamps",
+                "--out", "json", "--out-file", str(sent),
+            ])
+        finally:
+            reflector.join(timeout=15)
+        assert not reflector.is_alive()
+        assert codes == {"reflect": EXIT_OK, "send": EXIT_OK}
+        assert json.loads(reflected.read_text()) == [
+            {"train_id": i, "n_packets": 10, "n_reflected": 10, "status": "reflected"}
+            for i in range(2)
+        ]
+        rows = json.loads(sent.read_text())
+        assert [(r["train_id"], r["status"]) for r in rows] == [(0, "complete"), (1, "complete")]
+        for row in rows:
+            assert row["est_send_rate_bps"] > 0 and row["recv_ts"] is None
+            assert len(row["send_ts"]) == 10
+            assert all(type(t) is int for t in row["send_ts"])
 
 
 class TestExitCodes:
@@ -346,6 +395,20 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report"])
         assert exc.value.code == 2
+
+    def test_report_takes_one_source(self, capsys, monkeypatch):
+        # --experiment and --in exclude each other: passing both is a
+        # usage error, found before any table is computed or file read.
+        def refuse(*args, **kwargs):
+            raise AssertionError("report ran with two sources")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        monkeypatch.setattr(cli, "read_rows", refuse)
+        code, captured = run_failing(capsys, "report", "--experiment", "sweep",
+                                     "--in", "records.csv")
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "not allowed with" in captured.err
 
 
 class TestCommandOptions:

@@ -366,7 +366,10 @@ class TestWarmUp:
                               inter_train_gap_ns=1_000_000)
         records = run_sender(params, a)
         assert [r.status for r in records] == [TrainStatus.COMPLETE] * 2
-        assert len(b._queue) == 10
+        received = 0
+        while b.recv_from(time.monotonic_ns()) is not None:
+            received += 1
+        assert received == 10
 
     def test_socket_fault_is_reported_by_the_probe_send(self):
         # A closed socket fails the warm-up and the first probe alike; the
@@ -401,11 +404,10 @@ class TestFirstDeadlineApproach:
             return schedules[-1]
 
         a, b = loopback_pair(params.geometry.payload_size)
-        send = a.send_stamped
 
         def recording_send(payload, ts):
+            # Not forwarded: the loopback hook's own yield would record a sleep.
             events.append(("send", wire.peek_train_fields(payload)[0]))
-            send(payload, ts)
 
         a.warm_up = lambda: events.append("warm_up")
         a.send_stamped = recording_send
@@ -440,11 +442,10 @@ class TestFirstDeadlineApproach:
             real_sleep(seconds)
 
         a, b = loopback_pair(params.geometry.payload_size)
-        send = a.send_stamped
 
         def recording_send(payload, ts):
+            # Not forwarded: the loopback hook's own yield would record a sleep.
             events.append(("send", wire.peek_train_fields(payload)[0]))
-            send(payload, ts)
 
         a.warm_up = lambda: events.append("warm_up")
         a.send_stamped = recording_send
@@ -541,6 +542,19 @@ class TestInBandStamps:
         finally:
             tx.close()
             rx.close()
+
+    def test_sender_stamps_stay_exact_ints_past_2_to_53_ns(self, monkeypatch):
+        # Past 2^53 ns (104 days of uptime) a float drops the last
+        # nanosecond, so the records keep the int stamps the probes carry.
+        real = time.monotonic_ns
+        offset = (1 << 53) + 1 - real()
+        monkeypatch.setattr(time, "monotonic_ns", lambda: real() + offset)
+        a, b = loopback_pair(1472)
+        params = quick_params(n_trains=1, n_packets=20, desired_rate=1e9)
+        (record,) = run_sender(params, a)
+        carried = [b.recv_from(time.monotonic_ns() + 1_000_000_000)[1] for _ in range(20)]
+        assert record.send_ts == carried
+        assert all(type(t) is int and t > 1 << 53 for t in record.send_ts)
 
 
 class TestSendPathBuildsNoObjects:
