@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -202,7 +203,7 @@ def _csv_cell(value: object) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, list):
-        return ";".join(repr(v) for v in value)
+        return ";".join(map(repr, value))
     return str(value)
 
 
@@ -429,7 +430,14 @@ def _add_common(
         p.add_argument("--pacer", choices=(PURE_SPIN, HYBRID), default=HYBRID)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The traincap parser, built on the first call and shared after it.
+
+    One parser serves every :func:`main` call in a process, so callers
+    must not mutate it. Parsing leaves no state in it: the string
+    defaults, and with them ``TRAINCAP_PORT``, are read at parse time.
+    """
     parser = argparse.ArgumentParser(
         prog="traincap",
         description="Packet-train path capacity probing: send, receive, reflect, simulate.",

@@ -439,25 +439,29 @@ def _simulated_rep_means(
 ) -> tuple[list[float], list[float]]:
     """Per-repetition mean estimated send/receive rates.
 
+    One configuration gets one train spec and one schedule, shared by
+    every train it simulates: only the trains' rates are read, so their
+    train_id does not matter.
+
     Without an rng the model is a pure function of its config, so one
     train stands for all of them. Its rates are still summed n_trains
     times and divided, as a mean over distinct trains is, so every mean
     keeps the last bits that the std cells depend on.
     """
+    schedule = build_schedule(TrainSpec(n_packets, cfg.geometry, desired_rate), 0)
 
-    def train_rates(train_id: int) -> tuple[float, float]:
-        spec = TrainSpec(n_packets, cfg.geometry, desired_rate, train_id=train_id)
-        _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
+    def train_rates() -> tuple[float, float]:
+        _, rec = simulate_train(schedule, cfg, rng=rng)
         return estimate_send_rate(rec), estimate_receive_rate(rec)
 
     if rng is None:
-        send, recv = train_rates(0)
+        send, recv = train_rates()
         send_mean = sum([send] * n_trains) / n_trains
         recv_mean = sum([recv] * n_trains) / n_trains
         return [send_mean] * repeats, [recv_mean] * repeats
     send_means, recv_means = [], []
     for _ in range(repeats):
-        send_rates, recv_rates = zip(*(train_rates(t) for t in range(n_trains)))
+        send_rates, recv_rates = zip(*(train_rates() for _ in range(n_trains)))
         send_means.append(sum(send_rates) / n_trains)
         recv_means.append(sum(recv_rates) / n_trains)
     return send_means, recv_means

@@ -195,7 +195,7 @@ def simulate_train(
     d_recv = cfg.d_proc_recv
     jit_send = jit > 0 and d_send > 0
     jit_recv = jit > 0 and d_recv > 0
-    intended = [float(t) for t in schedule.send_instants]
+    intended = list(map(float, schedule.send_instants))
     n = len(intended)
 
     submit: list[float] = []

@@ -6,12 +6,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import queue
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from traincap import cli
+from traincap import cli, session
 from traincap.cli import (
     EXIT_NO_VALID_TRAINS,
     EXIT_OK,
@@ -22,7 +26,7 @@ from traincap.cli import (
     parse_endpoint,
     parse_rate,
 )
-from traincap.transport import BackendDescriptor, OS_DATAGRAM, UdpEndpoint
+from traincap.transport import BackendDescriptor, OS_DATAGRAM, TransportError, UdpEndpoint
 
 
 # A reflector that returns at once should a case parse after all.
@@ -351,6 +355,27 @@ class TestReportCommand:
         for r in rows:
             assert int(r["count"]) == 5
 
+    def test_one_schedule_per_configuration(self, capsys, monkeypatch):
+        # Jittered trains of one configuration share its schedule: four
+        # presets give four schedules for 4 x 10 repeats x 10 trains.
+        calls = {"build_schedule": 0, "simulate_train": 0}
+
+        def counted(name):
+            original = getattr(session, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(session, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        code, _ = run_cli(capsys, "report", "--experiment", "same-method",
+                          "--jitter", "0.1", "--seed", "1")
+        assert code == EXIT_OK
+        assert calls == {"build_schedule": 4, "simulate_train": 400}
+
     @pytest.mark.parametrize("kind", ["same-method", "receiver-vs-reference"])
     def test_zero_duration_preset_exits_4(self, capsys, kind):
         # mapped-batch stamps a whole 20-packet train in one batch of 25
@@ -409,6 +434,46 @@ class TestReportCommand:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "not allowed with" in captured.err
+
+
+class TestSharedParser:
+    """One parser serves every main call in a process and keeps no state."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["simulate", "--preset", "stack", "--rate", "1G", "--trains", "3", "--jitter", "1.5",
+         "--seed", "1"],
+        ["simulate", "--preset", "stack", "--rate", "1G", "--jitter", "0.1"],
+        ["report", "--experiment", "sweep", "--in", "records.csv"],
+    ], ids=["argparse-error", "main-usage-error", "exclusive-sources"])
+    def test_usage_error_leaves_no_state(self, capsys, bad):
+        good = ["simulate", "--preset", "stack", "--rate", "1G", "--trains", "2", "--timestamps"]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        fresh = subprocess.run([sys.executable, "-m", "traincap.cli", *good],
+                               env={**os.environ, "PYTHONPATH": src},
+                               capture_output=True, timeout=60)
+        assert fresh.returncode == EXIT_OK, fresh.stderr
+        code, _ = run_failing(capsys, *bad)
+        assert code == EXIT_USAGE
+        code, captured = run_failing(capsys, *good)
+        assert code == EXIT_OK
+        # Bytes, not text mode, which would fold the CSV's \r\n line ends.
+        assert (captured.out, captured.err) == (fresh.stdout.decode(), fresh.stderr.decode())
+
+    def test_port_env_read_per_call(self, capsys, monkeypatch):
+        bound = []
+
+        def refuse(descriptor):
+            bound.append(descriptor.local)
+            raise TransportError("not opened")
+
+        monkeypatch.setattr(cli, "open_endpoint", refuse)
+        for port in ("7001", "7002"):
+            monkeypatch.setenv("TRAINCAP_PORT", port)
+            assert run_cli(capsys, "reflect", "--timeout", "0.1")[0] == EXIT_TRANSPORT
+        assert bound == [("", 7001), ("", 7002)]
 
 
 class TestCommandOptions:

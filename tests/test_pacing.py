@@ -32,13 +32,37 @@ class TestWaitUntil:
         assert not report.late
         assert report.slack_ns == 0
 
-    def test_future_deadline_no_early_wake(self):
+    def test_future_deadline_no_early_wake(self, monkeypatch):
+        # A host pause of over 10 us between the deadline's clock read and
+        # wait_until's entry read puts the deadline in the past, and
+        # wait_until then rightly reports it late. A pass-through recorder
+        # on the clock gives the entry reading, so each iteration checks
+        # the contract of the branch that ran.
+        clock = time.monotonic_ns
+        readings = []
+
+        def recorded():
+            t = clock()
+            readings.append(t)
+            return t
+
+        monkeypatch.setattr(pacing.time, "monotonic_ns", recorded)
+        future = 0
         for _ in range(50):
-            deadline = time.monotonic_ns() + 10_000
+            deadline = clock() + 10_000
+            readings.clear()
             report = wait_until(deadline, SPIN)
-            assert report.wake_ns >= deadline
-            assert not report.late
-            assert report.slack_ns == report.wake_ns - deadline
+            entry = readings[0]
+            if entry < deadline:
+                future += 1
+                assert not report.late
+                assert report.wake_ns >= deadline
+                assert report.slack_ns == report.wake_ns - deadline
+            else:
+                assert report.late == (entry > deadline)
+                assert report.slack_ns == 0
+        # A stalling host must not empty the check of a future deadline.
+        assert future >= 45
 
     def test_hybrid_no_early_wake(self):
         cfg = PacerConfig(mode=HYBRID)
