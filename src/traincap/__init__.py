@@ -32,6 +32,7 @@ from .simnet import (
     SimTrace,
     ethernet_max_rate,
     preset,
+    simulate_rates,
     simulate_train,
     sweep,
     sweep_study_config,

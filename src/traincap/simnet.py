@@ -25,10 +25,18 @@ per-packet loops, in one fixed order and only for positive nominals:
 every packet's send processing, then the last send stamp's lag, the
 first receive batch's lag, and every packet's receive processing. That
 order is part of what a seed reproduces.
+
+One private core runs these recurrences for one train, and two public
+views wrap it: ``simulate_train`` returns the full trace and a
+TrainRecord, and ``simulate_rates`` runs many trains of one schedule and
+returns only their estimated rate pairs. Both feed the core the same
+instants and rng, so the draw order above holds for each, and a seed
+gives the same stamps, and the same rates, through either view.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -38,8 +46,9 @@ from .train import (
     TrainSchedule,
     TrainSpec,
     TrainStatus,
+    _first_last_rate,
     build_schedule,
-    estimate_receive_rate,
+    estimate_receive_rate,  # unused here: bench/tracing.py wraps both names in this module
     estimate_send_rate,
 )
 from .wire import FrameGeometry
@@ -62,13 +71,15 @@ class SimConfig:
     jitter: float = 0.0  # uniform +/- fraction applied to each delay draw
 
     def __post_init__(self) -> None:
-        if self.link_capacity <= 0:
-            raise ValueError("link_capacity must be positive")
+        # Written so that NaN fails every bound: a NaN or infinite delay
+        # would give NaN stamps, and rates no estimator rejects.
+        if not 0 < self.link_capacity < math.inf:
+            raise ValueError("link_capacity must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         for name in ("d_proc_send", "d_proc_recv", "d_ts_last", "d_ts_first_recv", "prop_delay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0 <= self.jitter < 1:
             raise ValueError("jitter must be in [0, 1)")
 
@@ -156,6 +167,79 @@ def combine(sender: SimConfig, receiver: SimConfig) -> SimConfig:
     )
 
 
+def _check(schedule: TrainSchedule, cfg: SimConfig, rng: random.Random | None) -> None:
+    if schedule.spec.geometry != cfg.geometry:
+        raise ValueError("schedule and sim config disagree on frame geometry")
+    if cfg.jitter > 0 and rng is None:
+        raise ValueError("jitter requires an explicit rng")
+
+
+def _simulate(
+    intended: list[float], cfg: SimConfig, rng: random.Random | None
+) -> tuple[list[float], list[float], list[float], list[float], list[float], list[float]]:
+    """The recurrences over one train, from its float send instants.
+
+    Returns the submit, egress, departure, arrival, sender-stamp and
+    receive-stamp lists. Each draw is nominal * uniform(1 - jit, 1 + jit),
+    written out as random.uniform computes it (a + (b - a) * random()),
+    and each max is a conditional that keeps the first operand on ties, as
+    max does: the per-packet loops call only list.append and, with jitter,
+    rng.random, and read only plain locals.
+    """
+    jit = cfg.jitter
+    lo, width = 1 - jit, (1 + jit) - (1 - jit)
+    rnd = rng.random if jit > 0 else None
+    ser = cfg.serialization_ns
+    prop = cfg.prop_delay
+    d_send = cfg.d_proc_send
+    d_recv = cfg.d_proc_recv
+    jit_send = jit > 0 and d_send > 0
+    jit_recv = jit > 0 and d_recv > 0
+    n = len(intended)
+
+    submit: list[float] = []
+    egress: list[float] = []
+    departure: list[float] = []
+    arrival: list[float] = []
+    eg = dep = float("-inf")
+    for s in intended:
+        sub = s if s >= eg else eg
+        eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
+        free = dep + ser
+        dep = eg if eg >= free else free
+        submit.append(sub)
+        egress.append(eg)
+        departure.append(dep)
+        arrival.append(dep + ser + prop)
+
+    d_last = cfg.d_ts_last
+    if jit > 0 and d_last > 0:
+        d_last = d_last * (lo + width * rnd())
+    sender_ts = list(submit)
+    sender_ts[n - 1] = submit[n - 1] + d_last
+
+    # Batches of batch_size packets; a batch starts once its last packet
+    # has arrived and the previous batch is done.
+    d_first = cfg.d_ts_first_recv
+    if jit > 0 and d_first > 0:
+        d_first = d_first * (lo + width * rnd())
+    batch = cfg.batch_size
+    recv_ts: list[float] = []
+    start = arrival[min(batch, n) - 1] + d_first
+    offset = 0.0
+    next_batch = batch
+    for p in range(n):
+        if p == next_batch:
+            busy = start + offset
+            last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
+            start = last if last >= busy else busy
+            offset = 0.0
+            next_batch += batch
+        recv_ts.append(start + offset)
+        offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
+    return submit, egress, departure, arrival, sender_ts, recv_ts
+
+
 def simulate_train(
     schedule: TrainSchedule,
     cfg: SimConfig,
@@ -170,72 +254,9 @@ def simulate_train(
     ``cfg.jitter`` nonzero an explicit ``rng`` must be supplied; without
     jitter the simulation is a pure function of its arguments.
     """
-    if schedule.spec.geometry != cfg.geometry:
-        raise ValueError("schedule and sim config disagree on frame geometry")
-    if cfg.jitter > 0 and rng is None:
-        raise ValueError("jitter requires an explicit rng")
-
-    # Each draw is nominal * uniform(1 - jit, 1 + jit), written out as
-    # random.uniform computes it (a + (b - a) * random()), and each max is
-    # a conditional that keeps the first operand on ties, as max does: the
-    # per-packet loops call only list.append and, with jitter, rng.random.
-    jit = cfg.jitter
-    if jit > 0:
-        rnd = rng.random
-        lo, width = 1 - jit, (1 + jit) - (1 - jit)
-
-    def draw(nominal: float) -> float:
-        if jit > 0 and nominal > 0:
-            return nominal * (lo + width * rnd())
-        return nominal
-
-    ser = cfg.serialization_ns
-    prop = cfg.prop_delay
-    d_send = cfg.d_proc_send
-    d_recv = cfg.d_proc_recv
-    jit_send = jit > 0 and d_send > 0
-    jit_recv = jit > 0 and d_recv > 0
+    _check(schedule, cfg, rng)
     intended = list(map(float, schedule.send_instants))
-    n = len(intended)
-
-    submit: list[float] = []
-    egress: list[float] = []
-    departure: list[float] = []
-    arrival: list[float] = []
-    submit_append, egress_append = submit.append, egress.append
-    departure_append, arrival_append = departure.append, arrival.append
-    eg = dep = float("-inf")
-    for s in intended:
-        sub = s if s >= eg else eg
-        eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
-        free = dep + ser
-        dep = eg if eg >= free else free
-        submit_append(sub)
-        egress_append(eg)
-        departure_append(dep)
-        arrival_append(dep + ser + prop)
-
-    sender_ts = list(submit)
-    sender_ts[n - 1] = submit[n - 1] + draw(cfg.d_ts_last)
-
-    # Batches of batch_size packets; a batch starts once its last packet
-    # has arrived and the previous batch is done.
-    batch = cfg.batch_size
-    recv_ts: list[float] = []
-    recv_append = recv_ts.append
-    start = arrival[min(batch, n) - 1] + draw(cfg.d_ts_first_recv)
-    offset = 0.0
-    next_batch = batch
-    for p in range(n):
-        if p == next_batch:
-            busy = start + offset
-            last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
-            start = last if last >= busy else busy
-            offset = 0.0
-            next_batch += batch
-        recv_append(start + offset)
-        offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
-
+    submit, egress, departure, arrival, sender_ts, recv_ts = _simulate(intended, cfg, rng)
     trace = SimTrace(
         intended=intended,
         submit=submit,
@@ -250,10 +271,39 @@ def simulate_train(
         spec=schedule.spec,
         send_ts=sender_ts,
         recv_ts=recv_ts,
-        received_seqs=list(range(n)),
+        received_seqs=list(range(len(intended))),
         status=TrainStatus.COMPLETE if recv_ts[-1] != recv_ts[0] else TrainStatus.ZERO_DURATION,
     )
     return trace, record
+
+
+def simulate_rates(
+    schedule: TrainSchedule,
+    cfg: SimConfig,
+    rng: random.Random | None = None,
+    count: int = 1,
+) -> list[tuple[float, float]]:
+    """Estimated (send, receive) rates of ``count`` trains on one schedule.
+
+    The trains run one after another through the same core as
+    ``simulate_train``, consuming the same draws in the same order, and
+    each pair is bit-identical to ``estimate_send_rate`` and
+    ``estimate_receive_rate`` on the record ``simulate_train`` would have
+    returned for that train. No trace or record is built. A train whose
+    receive stamps coincide raises DegenerateDurationError, as the
+    estimator does on a zero-duration record; the trains after it are not
+    simulated.
+    """
+    _check(schedule, cfg, rng)
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    intended = list(map(float, schedule.send_instants))
+    bits = schedule.spec.geometry.counted_bits
+    rates = []
+    for _ in range(count):
+        _, _, _, _, send_ts, recv_ts = _simulate(intended, cfg, rng)
+        rates.append((_first_last_rate(send_ts, bits), _first_last_rate(recv_ts, bits)))
+    return rates
 
 
 @dataclass(frozen=True)
@@ -277,13 +327,6 @@ def sweep(
     for n in train_lengths:
         for rate in rates:
             spec = TrainSpec(n_packets=n, geometry=cfg.geometry, desired_rate=rate)
-            _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
-            cells.append(
-                SweepCell(
-                    n_packets=n,
-                    desired_rate=rate,
-                    est_send=estimate_send_rate(rec),
-                    est_recv=estimate_receive_rate(rec),
-                )
-            )
+            [(send, recv)] = simulate_rates(build_schedule(spec, 0), cfg, rng)
+            cells.append(SweepCell(n_packets=n, desired_rate=rate, est_send=send, est_recv=recv))
     return cells

@@ -13,6 +13,7 @@ Timestamps may be ints (real clocks) or floats (simulator traces).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -51,6 +52,8 @@ class TrainSpec:
     def __post_init__(self) -> None:
         if self.n_packets < 2:
             raise ValueError("a train needs at least 2 packets")
+        if isinstance(self.desired_rate, float) and math.isnan(self.desired_rate):
+            raise ValueError("desired_rate must be a number, not NaN")
         if self.desired_rate <= 0:
             raise ValueError("desired_rate must be positive")
 

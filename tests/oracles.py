@@ -77,6 +77,55 @@ def exact_recv_case(rng: random.Random) -> tuple[TrainSchedule, int, int, float]
     return schedule, ser, delta, expected
 
 
+def simulate_oracle(
+    schedule: TrainSchedule, cfg, rng: random.Random | None
+) -> tuple[list[float], list[float], list[float], list[float], list[float], list[float]]:
+    """The path model's recurrences as plain loops, from simnet's docstring.
+
+    Returns the submit, egress, departure, arrival, sender-stamp and
+    receive-stamp lists. Each jittered delay is
+    ``nominal * rng.uniform(1 - j, 1 + j)``, drawn only for a positive
+    nominal, in the documented order: every packet's send processing,
+    the last send stamp's lag, the first receive batch's lag, then every
+    packet's receive processing.
+    """
+    j = cfg.jitter
+
+    def draw(nominal: float) -> float:
+        if j > 0 and nominal > 0:
+            return nominal * rng.uniform(1 - j, 1 + j)
+        return nominal
+
+    n = schedule.spec.n_packets
+    s = [float(schedule.start + i * schedule.gap) for i in range(n)]
+    ser = cfg.geometry.wire_bits * 10**9 / cfg.link_capacity
+
+    submit, egress, departure, arrival = [], [], [], []
+    for i in range(n):
+        submit.append(s[i] if i == 0 else max(s[i], egress[i - 1]))
+        egress.append(submit[i] + draw(cfg.d_proc_send))
+        departure.append(egress[i] if i == 0 else max(egress[i], departure[i - 1] + ser))
+        arrival.append(departure[i] + ser + cfg.prop_delay)
+
+    sender_ts = submit[:-1] + [submit[-1] + draw(cfg.d_ts_last)]
+
+    first_lag = draw(cfg.d_ts_first_recv)
+    recv_ts = []
+    free = None  # when the receiver finishes the previous batch
+    for lo in range(0, n, cfg.batch_size):
+        hi = min(lo + cfg.batch_size, n)
+        if free is None:
+            start = arrival[hi - 1] + first_lag
+        else:
+            start = max(arrival[hi - 1], free)
+        elapsed = 0.0
+        for _ in range(lo, hi):
+            recv_ts.append(start + elapsed)
+            elapsed += draw(cfg.d_proc_recv)
+        free = start + elapsed
+    return submit, egress, departure, arrival, sender_ts, recv_ts
+
+
 def stats_oracle(values: list[float]) -> tuple[float, float, float, float, float]:
     """Exact-rational min/max/mean/sample-std/rel-std recomputation."""
     exact = [Fraction(v) for v in values]

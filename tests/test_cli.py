@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from traincap import cli, session
+from traincap import cli, session, simnet
 from traincap.cli import (
     EXIT_NO_VALID_TRAINS,
     EXIT_OK,
@@ -357,24 +357,25 @@ class TestReportCommand:
 
     def test_one_schedule_per_configuration(self, capsys, monkeypatch):
         # Jittered trains of one configuration share its schedule: four
-        # presets give four schedules for 4 x 10 repeats x 10 trains.
-        calls = {"build_schedule": 0, "simulate_train": 0}
+        # presets give four schedules for 4 x 10 repeats x 10 trains, each
+        # run once through the simulator's one per-train core.
+        calls = {"build_schedule": 0, "_simulate": 0}
 
-        def counted(name):
-            original = getattr(session, name)
+        def counted(module, name):
+            original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(session, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            counted(name)
+        counted(session, "build_schedule")
+        counted(simnet, "_simulate")
         code, _ = run_cli(capsys, "report", "--experiment", "same-method",
                           "--jitter", "0.1", "--seed", "1")
         assert code == EXIT_OK
-        assert calls == {"build_schedule": 4, "simulate_train": 400}
+        assert calls == {"build_schedule": 4, "_simulate": 400}
 
     @pytest.mark.parametrize("kind", ["same-method", "receiver-vs-reference"])
     def test_zero_duration_preset_exits_4(self, capsys, kind):

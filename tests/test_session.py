@@ -1184,16 +1184,15 @@ class TestExperiments:
         ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 5), ("sweep", 16),
     ])
     def test_jitter_free_work_does_not_scale(self, monkeypatch, kind, expected):
+        # Count the trains the simulator's one per-train core runs.
         calls = []
-        real = simnet.simulate_train
+        real = simnet._simulate
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        # The sweep simulates through simnet's own name, the tables through session's.
-        monkeypatch.setattr(session, "simulate_train", counting)
-        monkeypatch.setattr(simnet, "simulate_train", counting)
+        monkeypatch.setattr(simnet, "_simulate", counting)
         seen = []
         for size in (2, 10):
             calls.clear()

@@ -13,6 +13,7 @@ from oracles import (
     chain_arrivals,
     exact_recv_case,
     exact_send_case,
+    simulate_oracle,
 )
 from traincap.simnet import (
     PRESET_NAMES,
@@ -20,6 +21,7 @@ from traincap.simnet import (
     combine,
     ethernet_max_rate,
     preset,
+    simulate_rates,
     simulate_train,
     sweep,
     sweep_study_config,
@@ -317,3 +319,123 @@ class TestModelProperties:
             SimConfig(d_proc_send=-1)
         with pytest.raises(ValueError):
             SimConfig(jitter=1.5)
+
+    @pytest.mark.parametrize("field", [
+        "link_capacity", "d_proc_send", "d_proc_recv", "d_ts_last", "d_ts_first_recv", "prop_delay", "jitter",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_config_rejects_non_finite(self, field, value):
+        # A NaN delay or capacity, or an infinite delay, once gave NaN
+        # rates that no estimator rejected.
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+
+# Every preset, the sweep study config, and one config with every delay,
+# prop_delay and a batch that does not divide the train lengths.
+ORACLE_CONFIGS = {
+    **{name: preset(name) for name in PRESET_NAMES},
+    "sweep-study": sweep_study_config(),
+    "mixed": SimConfig(d_proc_send=900.5, d_proc_recv=333.25, batch_size=7, d_ts_last=75.0,
+                       d_ts_first_recv=1250.0, prop_delay=12_345.6),
+}
+ORACLE_LENGTHS = (2, 3, 24, 25, 26, 50, 100)
+
+
+def oracle_rates(cfg):
+    return (1e9, 5e9, ethernet_max_rate(cfg), 12e9)
+
+
+def rate_or_degenerate(ts, counted_bits):
+    span = ts[-1] - ts[0]
+    return None if span == 0 else (len(ts) - 1) * counted_bits * 10**9 / span
+
+
+class TestOracle:
+    """simulate_train and simulate_rates against the plain-loop oracle, float for float."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_trace_and_record(self, name, jitter):
+        cfg = replace(ORACLE_CONFIGS[name], jitter=jitter)
+        lib_rng, ref_rng = random.Random(11), random.Random(11)
+        for n in ORACLE_LENGTHS:
+            for rate in oracle_rates(cfg):
+                spec = TrainSpec(n, cfg.geometry, rate, train_id=n)
+                schedule = build_schedule(spec, 1_000_003)
+                trace, rec = simulate_train(schedule, cfg, rng=lib_rng)
+                submit, egress, departure, arrival, sender_ts, recv_ts = simulate_oracle(schedule, cfg, ref_rng)
+                assert trace.intended == [float(t) for t in schedule.send_instants]
+                assert trace.submit == submit
+                assert trace.stack_egress == egress
+                assert trace.wire_departure == departure
+                assert trace.arrival == arrival
+                assert trace.sender_ts == rec.send_ts == sender_ts
+                assert trace.recv_ts == rec.recv_ts == recv_ts
+                assert rec.train_id == n and rec.spec is spec
+                assert rec.received_seqs == list(range(n))
+                zero = recv_ts[-1] == recv_ts[0]
+                assert rec.status is (TrainStatus.ZERO_DURATION if zero else TrainStatus.COMPLETE)
+                assert lib_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_rates(self, name, jitter):
+        cfg = replace(ORACLE_CONFIGS[name], jitter=jitter)
+        bits = cfg.geometry.counted_bits
+        lib_rng, ref_rng = random.Random(12), random.Random(12)
+        for n in ORACLE_LENGTHS:
+            for rate in oracle_rates(cfg):
+                schedule = build_schedule(TrainSpec(n, cfg.geometry, rate), 0)
+                expected = []
+                for _ in range(3):
+                    stamps = simulate_oracle(schedule, cfg, ref_rng)
+                    expected.append((rate_or_degenerate(stamps[4], bits), rate_or_degenerate(stamps[5], bits)))
+                    if None in expected[-1]:
+                        break  # simulate_rates raises here and runs no further train
+                if None in expected[-1]:
+                    with pytest.raises(DegenerateDurationError):
+                        simulate_rates(schedule, cfg, lib_rng, count=3)
+                else:
+                    assert simulate_rates(schedule, cfg, lib_rng, count=3) == expected
+                assert lib_rng.random() == ref_rng.random()
+
+
+class TestSimulateRates:
+    def test_pairs_equal_estimators_on_records(self):
+        for name in PRESET_NAMES:
+            cfg = replace(preset(name), jitter=0.1)
+            schedule = build_schedule(TrainSpec(50, cfg.geometry, 8e9), 0)
+            rng = random.Random(3)
+            records = [simulate_train(schedule, cfg, rng=rng)[1] for _ in range(5)]
+            expected = [(estimate_send_rate(r), estimate_receive_rate(r)) for r in records]
+            assert simulate_rates(schedule, cfg, random.Random(3), count=5) == expected
+
+    def test_jitter_free_default_count(self):
+        cfg = preset("stack")
+        schedule = build_schedule(TrainSpec(50, cfg.geometry, TEN_G), 0)
+        _, rec = simulate_train(schedule, cfg)
+        assert simulate_rates(schedule, cfg) == [(estimate_send_rate(rec), estimate_receive_rate(rec))]
+
+    def test_zero_duration_raises(self):
+        # mapped-batch stamps 20 packets in one batch of 25.
+        cfg = preset("mapped-batch")
+        schedule = build_schedule(TrainSpec(20, G1514, TEN_G), 0)
+        with pytest.raises(DegenerateDurationError):
+            simulate_rates(schedule, cfg)
+
+    def test_jitter_requires_rng(self):
+        cfg = replace(preset("stack"), jitter=0.1)
+        schedule = build_schedule(TrainSpec(10, cfg.geometry, 1e9), 0)
+        with pytest.raises(ValueError, match="rng"):
+            simulate_rates(schedule, cfg)
+
+    def test_geometry_mismatch_rejected(self):
+        schedule = build_schedule(TrainSpec(5, G1496, 1e9), 0)
+        with pytest.raises(ValueError, match="geometry"):
+            simulate_rates(schedule, SimConfig(geometry=G1514))
+
+    def test_count_must_be_positive(self):
+        schedule = build_schedule(TrainSpec(5, G1514, 1e9), 0)
+        with pytest.raises(ValueError, match="count"):
+            simulate_rates(schedule, SimConfig(geometry=G1514), count=0)

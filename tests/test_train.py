@@ -62,6 +62,11 @@ class TestBuildSchedule:
         with pytest.raises(ValueError):
             TrainSpec(n_packets=2, geometry=G1514, desired_rate=0)
 
+    def test_nan_rate_rejected_by_spec(self):
+        # Not left to build_schedule's int(nan), which raised its own error.
+        with pytest.raises(ValueError, match="desired_rate must be a number"):
+            TrainSpec(n_packets=2, geometry=G1514, desired_rate=math.nan)
+
 
 class TestSendRate:
     def test_paper_like_span(self):
