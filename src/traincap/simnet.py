@@ -26,12 +26,25 @@ every packet's send processing, then the last send stamp's lag, the
 first receive batch's lag, and every packet's receive processing. That
 order is part of what a seed reproduces.
 
-One private core runs these recurrences for one train, and two public
-views wrap it: ``simulate_train`` returns the full trace and a
-TrainRecord, and ``simulate_rates`` runs many trains of one schedule and
-returns only their estimated rate pairs. Both feed the core the same
-instants and rng, so the draw order above holds for each, and a seed
-gives the same stamps, and the same rates, through either view.
+Two public views run these recurrences, each through its own private
+core. ``simulate_train`` returns the full trace and a TrainRecord, from
+a core that keeps every per-packet list. ``simulate_rates`` runs many
+trains of one schedule and returns only their estimated rate pairs, from
+a core that keeps just the first and last sender and receive stamps.
+Both cores do the same float operations and make the same draws in the
+order above, so a seed gives the same stamps, and the same rates,
+through either view; ``tests/oracles.py::simulate_oracle`` pins both
+cores to the recurrences float for float.
+
+The rates core keeps at most one per-packet list, the arrivals that the
+receive batches read, and with ``d_proc_recv = 0`` not even that. Each
+departure is at least the previous one plus ``ser``, and rounding never
+reverses an order, so arrivals never fall. With no receive cost a
+batch's stamps all equal its start, so each batch starts at the later
+of its last arrival and the previous batch's start, which comes to the
+later of its last arrival and the first batch's start. A max returns
+one of its operands, so this shortcut is exact, not an approximation:
+the core reads only the first batch's last arrival and the train's last.
 """
 
 from __future__ import annotations
@@ -75,8 +88,8 @@ class SimConfig:
         # would give NaN stamps, and rates no estimator rejects.
         if not 0 < self.link_capacity < math.inf:
             raise ValueError("link_capacity must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            raise ValueError("batch_size must be an integer of at least 1")
         for name in ("d_proc_send", "d_proc_recv", "d_ts_last", "d_ts_first_recv", "prop_delay"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
@@ -240,6 +253,72 @@ def _simulate(
     return submit, egress, departure, arrival, sender_ts, recv_ts
 
 
+def _simulate_ends(
+    intended: list[float], cfg: SimConfig, rng: random.Random | None
+) -> tuple[float, float, float, float]:
+    """``_simulate``'s first and last sender and receive stamps, and no trace.
+
+    Returns (send_first, send_last, recv_first, recv_last). The float
+    operations, tie-keeping conditionals and draws are ``_simulate``'s,
+    in its order; ``free`` (the instant the medium frees after a frame)
+    is both the next frame's earliest departure and, plus prop_delay,
+    this frame's arrival. Only the arrivals the receive batches read are
+    kept: every one, or with no receive cost (see the module docstring)
+    the first batch's last and the train's last.
+    """
+    jit = cfg.jitter
+    lo, width = 1 - jit, (1 + jit) - (1 - jit)
+    rnd = rng.random if jit > 0 else None
+    ser = cfg.serialization_ns
+    prop = cfg.prop_delay
+    d_send = cfg.d_proc_send
+    d_recv = cfg.d_proc_recv
+    jit_send = jit > 0 and d_send > 0
+    jit_recv = jit > 0 and d_recv > 0
+    n = len(intended)
+    batch = cfg.batch_size
+    keep = d_recv > 0
+
+    arrival: list[float] = []
+    eg = free = float("-inf")
+    for part in (intended,) if keep else (intended[:batch], intended[batch:]):
+        for s in part:
+            sub = s if s >= eg else eg
+            eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
+            dep = eg if eg >= free else free
+            free = dep + ser
+            if keep:
+                arrival.append(free + prop)
+        if not keep:
+            arrival.append(free + prop)
+
+    d_last = cfg.d_ts_last
+    if jit > 0 and d_last > 0:
+        d_last = d_last * (lo + width * rnd())
+    d_first = cfg.d_ts_first_recv
+    if jit > 0 and d_first > 0:
+        d_first = d_first * (lo + width * rnd())
+    start = first = arrival[min(batch, n) - 1 if keep else 0] + d_first
+    if not keep:
+        # One batch leaves arrival[1] == arrival[0], which start never trails.
+        last = arrival[1]
+        return intended[0], sub + d_last, first, last if last >= start else start
+
+    offset = 0.0
+    next_batch = batch
+    for p in range(1, n):
+        offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
+        if p == next_batch:
+            busy = start + offset
+            last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
+            start = last if last >= busy else busy
+            offset = 0.0
+            next_batch += batch
+    if jit_recv:
+        rnd()  # the last packet's receive draw, which no kept stamp reads
+    return intended[0], sub + d_last, first, start + offset
+
+
 def simulate_train(
     schedule: TrainSchedule,
     cfg: SimConfig,
@@ -285,8 +364,8 @@ def simulate_rates(
 ) -> list[tuple[float, float]]:
     """Estimated (send, receive) rates of ``count`` trains on one schedule.
 
-    The trains run one after another through the same core as
-    ``simulate_train``, consuming the same draws in the same order, and
+    The trains run one after another through the rates core, which
+    consumes the same draws in the same order as ``simulate_train``'s, and
     each pair is bit-identical to ``estimate_send_rate`` and
     ``estimate_receive_rate`` on the record ``simulate_train`` would have
     returned for that train. No trace or record is built. A train whose
@@ -295,14 +374,16 @@ def simulate_rates(
     simulated.
     """
     _check(schedule, cfg, rng)
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    if not isinstance(count, int) or count < 1:
+        raise ValueError("count must be an integer of at least 1")
     intended = list(map(float, schedule.send_instants))
+    n = len(intended)
     bits = schedule.spec.geometry.counted_bits
     rates = []
     for _ in range(count):
-        _, _, _, _, send_ts, recv_ts = _simulate(intended, cfg, rng)
-        rates.append((_first_last_rate(send_ts, bits), _first_last_rate(recv_ts, bits)))
+        send_first, send_last, recv_first, recv_last = _simulate_ends(intended, cfg, rng)
+        rates.append((_first_last_rate(send_first, send_last, n, bits),
+                      _first_last_rate(recv_first, recv_last, n, bits)))
     return rates
 
 

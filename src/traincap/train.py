@@ -103,18 +103,19 @@ def build_schedule(spec: TrainSpec, start: int) -> TrainSchedule:
     return TrainSchedule(spec=spec, start=start, gap=gap)
 
 
-def _first_last_rate(ts: Sequence[float], counted_bits: int) -> float:
-    span = ts[-1] - ts[0]
+def _first_last_rate(first: float, last: float, n_packets: int, counted_bits: int) -> float:
+    span = last - first
     if span == 0:
         raise DegenerateDurationError("degenerate duration")
-    return (len(ts) - 1) * counted_bits * _NS_PER_S / span
+    return (n_packets - 1) * counted_bits * _NS_PER_S / span
 
 
 def estimate_send_rate(rec: TrainRecord) -> float:
     """Send rate in bits/s from the first and last send timestamps."""
-    if rec.send_ts is None or len(rec.send_ts) < 2:
+    ts = rec.send_ts
+    if ts is None or len(ts) < 2:
         raise InvalidTrainError("invalid train")
-    return _first_last_rate(rec.send_ts, rec.spec.geometry.counted_bits)
+    return _first_last_rate(ts[0], ts[-1], len(ts), rec.spec.geometry.counted_bits)
 
 
 def estimate_receive_rate(rec: TrainRecord) -> float:
@@ -125,9 +126,10 @@ def estimate_receive_rate(rec: TrainRecord) -> float:
     has every packet but no span, so it raises DegenerateDurationError.
     """
     in_order = rec.status is TrainStatus.COMPLETE or rec.status is TrainStatus.ZERO_DURATION
-    if not in_order or rec.recv_ts is None or len(rec.recv_ts) < 2:
+    ts = rec.recv_ts
+    if not in_order or ts is None or len(ts) < 2:
         raise InvalidTrainError("invalid train")
-    return _first_last_rate(rec.recv_ts, rec.spec.geometry.counted_bits)
+    return _first_last_rate(ts[0], ts[-1], len(ts), rec.spec.geometry.counted_bits)
 
 
 def validate_train(

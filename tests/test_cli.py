@@ -43,6 +43,21 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def count_calls(monkeypatch, *targets):
+    """Patch each (module, name) to count its calls; return the counts by name."""
+    calls = {name: 0 for _, name in targets}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 def run_failing(capsys, *argv):
     """Exit code and captured output of a command expected to fail cleanly."""
     try:
@@ -358,24 +373,22 @@ class TestReportCommand:
     def test_one_schedule_per_configuration(self, capsys, monkeypatch):
         # Jittered trains of one configuration share its schedule: four
         # presets give four schedules for 4 x 10 repeats x 10 trains, each
-        # run once through the simulator's one per-train core.
-        calls = {"build_schedule": 0, "_simulate": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(session, "build_schedule")
-        counted(simnet, "_simulate")
+        # run once through the simulator's rates core and never through
+        # its trace core.
+        calls = count_calls(monkeypatch, (session, "build_schedule"),
+                            (simnet, "_simulate_ends"), (simnet, "_simulate"))
         code, _ = run_cli(capsys, "report", "--experiment", "same-method",
                           "--jitter", "0.1", "--seed", "1")
         assert code == EXIT_OK
-        assert calls == {"build_schedule": 4, "_simulate": 400}
+        assert calls == {"build_schedule": 4, "_simulate_ends": 400, "_simulate": 0}
+
+    def test_simulate_runs_the_trace_core_once_per_train(self, capsys, monkeypatch):
+        # simulate writes every stamp, so each train needs the full trace.
+        calls = count_calls(monkeypatch, (simnet, "_simulate"), (simnet, "_simulate_ends"))
+        code, _ = run_cli(capsys, "simulate", "--preset", "stack", "--packets", "30",
+                          "--trains", "5", "--rate", "10G", "--jitter", "0.1", "--seed", "9")
+        assert code == EXIT_OK
+        assert calls == {"_simulate": 5, "_simulate_ends": 0}
 
     @pytest.mark.parametrize("kind", ["same-method", "receiver-vs-reference"])
     def test_zero_duration_preset_exits_4(self, capsys, kind):

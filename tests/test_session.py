@@ -1184,20 +1184,24 @@ class TestExperiments:
         ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 5), ("sweep", 16),
     ])
     def test_jitter_free_work_does_not_scale(self, monkeypatch, kind, expected):
-        # Count the trains the simulator's one per-train core runs.
+        # Count the trains the simulator's rates core runs; the tables
+        # never need the trace core.
         calls = []
-        real = simnet._simulate
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(simnet, "_simulate", counting)
+        monkeypatch.setattr(simnet, "_simulate_ends", counting(simnet._simulate_ends))
+        monkeypatch.setattr(simnet, "_simulate", counting(simnet._simulate))
         seen = []
         for size in (2, 10):
             calls.clear()
             run_experiment(kind, n_trains=size, repeats=size)
-            seen.append(len(calls))
+            seen.append(calls.count("_simulate_ends"))
+            assert "_simulate" not in calls
         assert seen == [expected, expected]
 
     def test_reports_reproducible(self):

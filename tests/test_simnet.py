@@ -7,6 +7,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     batch_completion_stamps,
@@ -315,6 +317,10 @@ class TestModelProperties:
             SimConfig(link_capacity=0)
         with pytest.raises(ValueError):
             SimConfig(batch_size=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(batch_size=2.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            SimConfig(batch_size="3")
         with pytest.raises(ValueError):
             SimConfig(d_proc_send=-1)
         with pytest.raises(ValueError):
@@ -331,15 +337,19 @@ class TestModelProperties:
             SimConfig(**{field: value})
 
 
-# Every preset, the sweep study config, and one config with every delay,
-# prop_delay and a batch that does not divide the train lengths.
+# Every preset, the sweep study config, one config with every delay,
+# prop_delay and a batch of 7, and that config with no receive cost, the
+# rates core's other branch. The lengths put 7 (one full batch) and 49 (a
+# full last batch) beside ones that 7 does not divide.
+MIXED = SimConfig(d_proc_send=900.5, d_proc_recv=333.25, batch_size=7, d_ts_last=75.0,
+                  d_ts_first_recv=1250.0, prop_delay=12_345.6)
 ORACLE_CONFIGS = {
     **{name: preset(name) for name in PRESET_NAMES},
     "sweep-study": sweep_study_config(),
-    "mixed": SimConfig(d_proc_send=900.5, d_proc_recv=333.25, batch_size=7, d_ts_last=75.0,
-                       d_ts_first_recv=1250.0, prop_delay=12_345.6),
+    "mixed": MIXED,
+    "mixed-zero-recv": replace(MIXED, d_proc_recv=0.0),
 }
-ORACLE_LENGTHS = (2, 3, 24, 25, 26, 50, 100)
+ORACLE_LENGTHS = (2, 3, 7, 24, 25, 26, 49, 50, 100)
 
 
 def oracle_rates(cfg):
@@ -401,7 +411,39 @@ class TestOracle:
                 assert lib_rng.random() == ref_rng.random()
 
 
+@st.composite
+def sim_configs(draw):
+    return SimConfig(
+        link_capacity=draw(st.floats(1e9, 40e9)),
+        d_proc_send=draw(st.floats(0, 5000)),
+        d_proc_recv=draw(st.just(0.0) | st.floats(0, 3000)),
+        batch_size=draw(st.integers(1, 60)),
+        d_ts_last=draw(st.floats(0, 500)),
+        d_ts_first_recv=draw(st.floats(0, 2000)),
+        prop_delay=draw(st.floats(0, 100_000)),
+        jitter=draw(st.just(0.0) | st.floats(0, 0.9)),
+    )
+
+
 class TestSimulateRates:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cfg=sim_configs(), n=st.integers(2, 120), rate=st.floats(1e8, 14e9),
+           count=st.integers(1, 4), seed=st.integers(0, 2**32))
+    def test_random_configs_equal_estimators_on_records(self, cfg, n, rate, count, seed):
+        schedule = build_schedule(TrainSpec(n, cfg.geometry, rate), 1_000_003)
+        lib_rng, ref_rng = random.Random(seed), random.Random(seed)
+        expected = []
+        try:
+            for _ in range(count):
+                _, rec = simulate_train(schedule, cfg, rng=ref_rng)
+                expected.append((estimate_send_rate(rec), estimate_receive_rate(rec)))
+        except DegenerateDurationError:
+            with pytest.raises(DegenerateDurationError):
+                simulate_rates(schedule, cfg, lib_rng, count=count)
+        else:
+            assert simulate_rates(schedule, cfg, lib_rng, count=count) == expected
+        assert lib_rng.random() == ref_rng.random()
+
     def test_pairs_equal_estimators_on_records(self):
         for name in PRESET_NAMES:
             cfg = replace(preset(name), jitter=0.1)
@@ -439,3 +481,5 @@ class TestSimulateRates:
         schedule = build_schedule(TrainSpec(5, G1514, 1e9), 0)
         with pytest.raises(ValueError, match="count"):
             simulate_rates(schedule, SimConfig(geometry=G1514), count=0)
+        with pytest.raises(ValueError, match="count"):
+            simulate_rates(schedule, SimConfig(geometry=G1514), count=2.0)
