@@ -2,7 +2,10 @@
 
 Subcommands: send, receive, reflect, simulate, report. Results are
 emitted as OutputRecords (one per train) or report tables, in CSV or
-JSON with identical values either way.
+JSON with identical values either way. CSV cells are written unquoted:
+every cell is a number, a ';'-joined list of numbers or a fixed word, so
+none holds a comma, quote or line break, and a str cell that did would
+raise ValueError rather than write a malformed row.
 
 Each subcommand takes only the options it reads. All take --trains,
 --frame-size, --out and --out-file. All but reflect, which learns a
@@ -14,7 +17,8 @@ fixed 10 Gbit/s desired rate and a fixed sweep grid (10, 20, 50 and 100
 packets at 1, 2.5, 5 and 10 Gbit/s).
 
 Rates accept plain integers, scientific notation, and decimal k/M/G
-suffixes ("100M", "2.5G", "10e9"); internally rates are integer bits/s.
+suffixes ("100M", "2.5G", "10e9"); internally rates are integer bits/s,
+so a rate that rounds to 0 bits/s is a usage error.
 The default UDP port is 8620, overridable via the TRAINCAP_PORT
 environment variable or an explicit host:port.
 
@@ -86,10 +90,12 @@ EXIT_NO_VALID_TRAINS = 4
 
 _SUFFIXES = {"k": 1e3, "M": 1e6, "G": 1e9}
 _RATE_COLUMNS = ("est_send_rate_bps", "est_recv_rate_bps")
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters a CSV cell would be quoted for
 
 
 def parse_rate(text: str) -> int:
     """Parse a rate like '100M', '2.5G', or '10e9' into integer bits/s."""
+    typed = text
     text = text.strip()
     mult = 1.0
     if text and text[-1] in _SUFFIXES:
@@ -101,7 +107,10 @@ def parse_rate(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid rate: {text!r}") from None
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError("rate must be positive and finite")
-    return int(round(value))
+    rate = int(round(value))
+    if rate == 0:
+        raise argparse.ArgumentTypeError(f"rate rounds to 0 bits/s: {typed!r}")
+    return rate
 
 
 def at_least(minimum: int, maximum: int | None = None):
@@ -204,20 +213,20 @@ def _csv_cell(value: object) -> str:
         return repr(value)
     if isinstance(value, list):
         return ";".join(map(repr, value))
+    if isinstance(value, str) and not _CSV_SPECIAL.isdisjoint(value):
+        raise ValueError(f"CSV cell would need quoting: {value!r}")
     return str(value)
 
 
 def write_rows(rows: list[dict], fmt: str, out_file: str | None) -> None:
     if fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
+    elif rows:
+        lines = [",".join(map(_csv_cell, rows[0]))]
+        lines += [",".join(map(_csv_cell, row.values())) for row in rows]
+        text = "\r\n".join(lines) + "\r\n"
     else:
-        buf = io.StringIO()
-        if rows:
-            writer = csv.writer(buf)
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(_csv_cell(v) for v in row.values())
-        text = buf.getvalue()
+        text = ""
     if out_file:
         with open(out_file, "w") as f:
             f.write(text)
@@ -249,7 +258,7 @@ def _rates(rows: list[dict], column: str) -> list[float]:
         if cell is None or cell == "":
             continue
         try:
-            value = float(cell)
+            value = math.nan if isinstance(cell, bool) else float(cell)
         except (TypeError, ValueError):
             value = math.nan
         if not math.isfinite(value):
@@ -357,14 +366,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = preset(args.preset, args.frame_size)
     if args.jitter:
         cfg = replace(cfg, jitter=args.jitter)
-    if args.link_capacity:
+    if args.link_capacity is not None:
         cfg = replace(cfg, link_capacity=args.link_capacity)
     rng = random.Random(args.seed) if args.jitter else None
+    # Every train runs one schedule; only the row's train_id tells them apart.
+    schedule = build_schedule(TrainSpec(args.packets, cfg.geometry, args.rate), 0)
     rows = []
     for train_id in range(args.trains):
-        spec = TrainSpec(args.packets, cfg.geometry, args.rate, train_id=train_id)
-        _, rec = simulate_train(build_schedule(spec, 0), cfg, rng=rng)
-        rows.append(record_row(rec, args.timestamps))
+        _, rec = simulate_train(schedule, cfg, rng=rng)
+        row = record_row(rec, args.timestamps)
+        row["train_id"] = train_id
+        rows.append(row)
     write_rows(rows, args.out, args.out_file)
     return EXIT_OK
 

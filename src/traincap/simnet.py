@@ -28,13 +28,12 @@ order is part of what a seed reproduces.
 
 Two public views run these recurrences, each through its own private
 core. ``simulate_train`` returns the full trace and a TrainRecord, from
-a core that keeps every per-packet list. ``simulate_rates`` runs many
-trains of one schedule and returns only their estimated rate pairs, from
-a core that keeps just the first and last sender and receive stamps.
-Both cores do the same float operations and make the same draws in the
-order above, so a seed gives the same stamps, and the same rates,
-through either view; ``tests/oracles.py::simulate_oracle`` pins both
-cores to the recurrences float for float.
+a core that keeps every per-packet list. ``simulate_rates`` returns the
+rate pairs of ``count`` trains of one schedule, from one call of a core
+that reads the config once and keeps just each train's end stamps. Both
+cores do the same float operations and draws in the order above, so a
+seed gives the same stamps and rates through either view;
+``tests/oracles.py::simulate_oracle`` pins both cores float for float.
 
 The rates core keeps at most one per-packet list, the arrivals that the
 receive batches read, and with ``d_proc_recv = 0`` not even that. Each
@@ -43,8 +42,8 @@ reverses an order, so arrivals never fall. With no receive cost a
 batch's stamps all equal its start, so each batch starts at the later
 of its last arrival and the previous batch's start, which comes to the
 later of its last arrival and the first batch's start. A max returns
-one of its operands, so this shortcut is exact, not an approximation:
-the core reads only the first batch's last arrival and the train's last.
+one of its operands, so this shortcut is exact: the core reads only the
+first batch's last arrival and the train's last.
 """
 
 from __future__ import annotations
@@ -254,69 +253,72 @@ def _simulate(
 
 
 def _simulate_ends(
-    intended: list[float], cfg: SimConfig, rng: random.Random | None
-) -> tuple[float, float, float, float]:
-    """``_simulate``'s first and last sender and receive stamps, and no trace.
+    intended: list[float], cfg: SimConfig, rng: random.Random | None, count: int, counted_bits: int
+) -> list[tuple[float, float]]:
+    """The rates of ``count`` trains, from ``_simulate``'s end stamps only.
 
-    Returns (send_first, send_last, recv_first, recv_last). The float
-    operations, tie-keeping conditionals and draws are ``_simulate``'s,
-    in its order; ``free`` (the instant the medium frees after a frame)
-    is both the next frame's earliest departure and, plus prop_delay,
-    this frame's arrival. Only the arrivals the receive batches read are
-    kept: every one, or with no receive cost (see the module docstring)
-    the first batch's last and the train's last.
+    Each train does ``_simulate``'s float operations, tie-keeping
+    conditionals and draws, in its order; ``free`` (the instant the medium
+    frees after a frame) is the next frame's earliest departure and, plus
+    prop_delay, this one's arrival. Only the arrivals the batches read are
+    kept (see the module docstring). A zero span raises before the next
+    train runs.
     """
     jit = cfg.jitter
     lo, width = 1 - jit, (1 + jit) - (1 - jit)
     rnd = rng.random if jit > 0 else None
-    ser = cfg.serialization_ns
-    prop = cfg.prop_delay
-    d_send = cfg.d_proc_send
-    d_recv = cfg.d_proc_recv
-    jit_send = jit > 0 and d_send > 0
-    jit_recv = jit > 0 and d_recv > 0
+    ser, prop = cfg.serialization_ns, cfg.prop_delay
+    d_send, d_recv = cfg.d_proc_send, cfg.d_proc_recv
+    d_last, d_first = cfg.d_ts_last, cfg.d_ts_first_recv
+    jit_send, jit_recv = jit > 0 and d_send > 0, jit > 0 and d_recv > 0
+    jit_last, jit_first = jit > 0 and d_last > 0, jit > 0 and d_first > 0
     n = len(intended)
     batch = cfg.batch_size
     keep = d_recv > 0
-
-    arrival: list[float] = []
-    eg = free = float("-inf")
-    for part in (intended,) if keep else (intended[:batch], intended[batch:]):
-        for s in part:
-            sub = s if s >= eg else eg
-            eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
-            dep = eg if eg >= free else free
-            free = dep + ser
-            if keep:
+    parts = (intended,) if keep else (intended[:batch], intended[batch:])
+    first_batch = min(batch, n) - 1 if keep else 0
+    send_first = intended[0]
+    neg_inf = float("-inf")
+    rate = _first_last_rate
+    rates = []
+    for _ in range(count):
+        arrival: list[float] = []
+        eg = free = neg_inf
+        for part in parts:
+            for s in part:
+                sub = s if s >= eg else eg
+                eg = sub + (d_send * (lo + width * rnd()) if jit_send else d_send)
+                dep = eg if eg >= free else free
+                free = dep + ser
+                if keep:
+                    arrival.append(free + prop)
+            if not keep:
                 arrival.append(free + prop)
-        if not keep:
-            arrival.append(free + prop)
 
-    d_last = cfg.d_ts_last
-    if jit > 0 and d_last > 0:
-        d_last = d_last * (lo + width * rnd())
-    d_first = cfg.d_ts_first_recv
-    if jit > 0 and d_first > 0:
-        d_first = d_first * (lo + width * rnd())
-    start = first = arrival[min(batch, n) - 1 if keep else 0] + d_first
-    if not keep:
-        # One batch leaves arrival[1] == arrival[0], which start never trails.
-        last = arrival[1]
-        return intended[0], sub + d_last, first, last if last >= start else start
-
-    offset = 0.0
-    next_batch = batch
-    for p in range(1, n):
-        offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
-        if p == next_batch:
-            busy = start + offset
-            last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
-            start = last if last >= busy else busy
+        send_last = sub + (d_last * (lo + width * rnd()) if jit_last else d_last)
+        first = arrival[first_batch] + (d_first * (lo + width * rnd()) if jit_first else d_first)
+        if keep:
+            start = first
             offset = 0.0
-            next_batch += batch
-    if jit_recv:
-        rnd()  # the last packet's receive draw, which no kept stamp reads
-    return intended[0], sub + d_last, first, start + offset
+            next_batch = batch
+            for p in range(1, n):
+                offset += d_recv * (lo + width * rnd()) if jit_recv else d_recv
+                if p == next_batch:
+                    busy = start + offset
+                    last = arrival[p + batch - 1] if p + batch <= n else arrival[n - 1]
+                    start = last if last >= busy else busy
+                    offset = 0.0
+                    next_batch += batch
+            if jit_recv:
+                rnd()  # the last packet's receive draw, which no kept stamp reads
+            recv_last = start + offset
+        else:
+            # One batch leaves arrival[1] == arrival[0], which first never trails.
+            last = arrival[1]
+            recv_last = last if last >= first else first
+        rates.append((rate(send_first, send_last, n, counted_bits),
+                      rate(first, recv_last, n, counted_bits)))
+    return rates
 
 
 def simulate_train(
@@ -364,27 +366,18 @@ def simulate_rates(
 ) -> list[tuple[float, float]]:
     """Estimated (send, receive) rates of ``count`` trains on one schedule.
 
-    The trains run one after another through the rates core, which
-    consumes the same draws in the same order as ``simulate_train``'s, and
-    each pair is bit-identical to ``estimate_send_rate`` and
-    ``estimate_receive_rate`` on the record ``simulate_train`` would have
-    returned for that train. No trace or record is built. A train whose
-    receive stamps coincide raises DegenerateDurationError, as the
-    estimator does on a zero-duration record; the trains after it are not
-    simulated.
+    One call of the rates core runs the trains in turn, with
+    ``simulate_train``'s draws in its order; each pair is bit-identical to
+    ``estimate_send_rate`` and ``estimate_receive_rate`` on the record
+    ``simulate_train`` would give that train. No trace or record is built.
+    A train whose receive stamps coincide raises DegenerateDurationError,
+    as the estimator does; the trains after it are not simulated.
     """
     _check(schedule, cfg, rng)
     if not isinstance(count, int) or count < 1:
         raise ValueError("count must be an integer of at least 1")
     intended = list(map(float, schedule.send_instants))
-    n = len(intended)
-    bits = schedule.spec.geometry.counted_bits
-    rates = []
-    for _ in range(count):
-        send_first, send_last, recv_first, recv_last = _simulate_ends(intended, cfg, rng)
-        rates.append((_first_last_rate(send_first, send_last, n, bits),
-                      _first_last_rate(recv_first, recv_last, n, bits)))
-    return rates
+    return _simulate_ends(intended, cfg, rng, count, schedule.spec.geometry.counted_bits)
 
 
 @dataclass(frozen=True)

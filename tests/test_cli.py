@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -26,6 +27,8 @@ from traincap.cli import (
     parse_endpoint,
     parse_rate,
 )
+from traincap.simnet import preset, simulate_train
+from traincap.train import TrainRecord, TrainSpec, TrainStatus, build_schedule
 from traincap.transport import BackendDescriptor, OS_DATAGRAM, TransportError, UdpEndpoint
 
 
@@ -58,6 +61,21 @@ def count_calls(monkeypatch, *targets):
     return calls
 
 
+def count_core_trains(monkeypatch):
+    """Patch the simulator's rates core to record the ``count`` of trains
+    each call runs; return that list."""
+    real = simnet._simulate_ends
+    signature = inspect.signature(real)
+    counts = []
+
+    def wrapper(*args, **kwargs):
+        counts.append(signature.bind(*args, **kwargs).arguments["count"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simnet, "_simulate_ends", wrapper)
+    return counts
+
+
 def run_failing(capsys, *argv):
     """Exit code and captured output of a command expected to fail cleanly."""
     try:
@@ -75,8 +93,13 @@ class TestParsers:
         assert parse_rate("833k") == 833_000
         assert parse_rate("12144") == 12144
 
+    def test_rate_rounding_to_zero_quotes_the_text_as_typed(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="' 0.0004k'"):
+            parse_rate(" 0.0004k")
+        assert parse_rate("0.6") == 1
+
     def test_rate_invalid(self):
-        for bad in ("fast", "", "-5M", "0"):
+        for bad in ("fast", "", "-5M", "0", "0.4"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse_rate(bad)
 
@@ -291,6 +314,7 @@ class TestExitCodes:
         ("abc", ["reflect"]),
         (None, ["simulate", "--preset", "stack", "--rate", "1e14"]),
         (None, ["simulate", "--preset", "stack", "--rate", "inf"]),
+        (None, ["simulate", "--preset", "stack", "--rate", "1G", "--link-capacity", "0.4"]),
         (None, ["send", "--backend", "loopback", "--rate", "1G", "--trains", "1",
                 "--packets", "70000"]),
         (None, ["send", "--remote", "127.0.0.1:9", "--frame-size", "70000", "--rate", "1M",
@@ -300,7 +324,7 @@ class TestExitCodes:
     ], ids=["jitter-1.5", "jitter-negative", "frame-10", "frame-61", "gap-0", "gap-below-1ns",
             "remote-port-x", "local-port-70000", "timeout-nan",
             "timeout-negative", "env-port-abc",
-            "rate-unschedulable", "rate-inf", "packets-70000",
+            "rate-unschedulable", "rate-inf", "link-capacity-0.4", "packets-70000",
             "send-frame-70000", "receive-frame-65550", "reflect-frame-65550"])
     def test_bad_option_values_are_usage_errors(self, capsys, monkeypatch, env, argv):
         def refuse(descriptor):
@@ -372,23 +396,27 @@ class TestReportCommand:
 
     def test_one_schedule_per_configuration(self, capsys, monkeypatch):
         # Jittered trains of one configuration share its schedule: four
-        # presets give four schedules for 4 x 10 repeats x 10 trains, each
-        # run once through the simulator's rates core and never through
-        # its trace core.
-        calls = count_calls(monkeypatch, (session, "build_schedule"),
-                            (simnet, "_simulate_ends"), (simnet, "_simulate"))
+        # presets give four schedules for 4 x 10 repeats x 10 trains. One
+        # call of the simulator's rates core runs each configuration's
+        # 100 trains, and its trace core never runs.
+        calls = count_calls(monkeypatch, (session, "build_schedule"), (simnet, "_simulate"))
+        counts = count_core_trains(monkeypatch)
         code, _ = run_cli(capsys, "report", "--experiment", "same-method",
                           "--jitter", "0.1", "--seed", "1")
         assert code == EXIT_OK
-        assert calls == {"build_schedule": 4, "_simulate_ends": 400, "_simulate": 0}
+        assert calls == {"build_schedule": 4, "_simulate": 0}
+        assert counts == [100] * 4 and sum(counts) == 400
 
     def test_simulate_runs_the_trace_core_once_per_train(self, capsys, monkeypatch):
-        # simulate writes every stamp, so each train needs the full trace.
-        calls = count_calls(monkeypatch, (simnet, "_simulate"), (simnet, "_simulate_ends"))
-        code, _ = run_cli(capsys, "simulate", "--preset", "stack", "--packets", "30",
-                          "--trains", "5", "--rate", "10G", "--jitter", "0.1", "--seed", "9")
+        # simulate writes every stamp, so each train needs the full trace;
+        # its trains share one schedule, built after main's rate check.
+        calls = count_calls(monkeypatch, (cli, "build_schedule"), (simnet, "_simulate"),
+                            (simnet, "_simulate_ends"))
+        code, out = run_cli(capsys, "simulate", "--preset", "stack", "--packets", "30",
+                            "--trains", "5", "--rate", "10G", "--jitter", "0.1", "--seed", "9")
         assert code == EXIT_OK
-        assert calls == {"_simulate": 5, "_simulate_ends": 0}
+        assert calls == {"build_schedule": 2, "_simulate": 5, "_simulate_ends": 0}
+        assert [int(row["train_id"]) for row in parse_csv(out)] == list(range(5))
 
     @pytest.mark.parametrize("kind", ["same-method", "receiver-vs-reference"])
     def test_zero_duration_preset_exits_4(self, capsys, kind):
@@ -418,8 +446,9 @@ class TestReportCommand:
         '[{"train_id": 0, "est_send_rate_bps": Infinity}]',
         '[{"train_id": 0, "est_recv_rate_bps": NaN}]',
         "[1, 2]",
+        '[{"train_id": 0, "est_send_rate_bps": true, "est_recv_rate_bps": 1e9}]',
     ], ids=["missing", "csv-text", "csv-inf", "csv-nan", "json-text", "json-inf", "json-nan",
-            "json-not-objects"])
+            "json-not-objects", "json-bool"])
     def test_bad_records_file_is_usage_error(self, capsys, tmp_path, content):
         path = tmp_path / "records"
         if content is not None:
@@ -448,6 +477,93 @@ class TestReportCommand:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "not allowed with" in captured.err
+
+
+def _record_rows(timestamps):
+    """Record rows as simulate, send and receive write them: complete,
+    zero-duration (no receive rate) and failed (no stamps) trains."""
+    records = []
+    for name, n_packets in (("stack", 30), ("mapped-batch", 20)):
+        cfg = preset(name)
+        schedule = build_schedule(TrainSpec(n_packets, cfg.geometry, 5_000_000_000), 0)
+        records.append(simulate_train(schedule, cfg)[1])
+    spec = TrainSpec(10, cfg.geometry, 100_000_000, train_id=2)
+    records.append(TrainRecord(2, spec, send_ts=list(range(0, 1000, 100))))
+    records.append(TrainRecord(3, spec, recv_ts=[i * 1234.5 for i in range(10)]))
+    records.append(TrainRecord(4, spec, status=TrainStatus.FAILED))
+    return [cli.record_row(rec, timestamps) for rec in records]
+
+
+def _table_rows(kind):
+    rows = session.run_experiment(kind, n_trains=2, repeats=2)
+    rows[0] = {**rows[0], "est_send_rate_bps" if kind == "sweep" else "rel_std_pct": None}
+    return rows
+
+
+def _summary_rows():
+    return [
+        {"metric": column, "count": len(values), **session._stats_row(session.aggregate_stats(values))}
+        for column, values in (("est_send_rate_bps", [1e9, 2.5e9, 3e9]),
+                               ("est_recv_rate_bps", [9.87e9]))
+    ]
+
+
+_REFLECT_ROWS = [
+    {"train_id": 0, "n_packets": 10, "n_reflected": 10, "status": "reflected"},
+    {"train_id": 1, "n_packets": 10, "n_reflected": 7, "status": "partial"},
+]
+
+
+class TestWriteRows:
+    """write_rows joins CSV cells itself, byte for byte as csv.writer would."""
+
+    @staticmethod
+    def reference(rows):
+        buf = io.StringIO()
+        if rows:
+            writer = csv.writer(buf)
+            writer.writerow(rows[0].keys())
+            for row in rows:
+                writer.writerow(cli._csv_cell(v) for v in row.values())
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("make_rows", [
+        lambda: _record_rows(False),
+        lambda: _record_rows(True),
+        *[lambda kind=kind: _table_rows(kind) for kind in session.EXPERIMENT_KINDS],
+        _summary_rows,
+        lambda: _REFLECT_ROWS,
+        lambda: [],
+    ], ids=["records", "records-timestamps", *session.EXPERIMENT_KINDS, "summary", "reflect",
+            "empty"])
+    def test_same_bytes_as_csv_writer(self, capsys, tmp_path, make_rows):
+        rows = make_rows()
+        cli.write_rows(rows, "csv", None)
+        assert capsys.readouterr().out == self.reference(rows)
+        path = tmp_path / "rows.csv"
+        cli.write_rows(rows, "csv", str(path))
+        with open(path, newline="") as f:
+            assert f.read() == self.reference(rows)
+
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+    def test_cell_that_needs_quoting_raises(self, capsys, char):
+        with pytest.raises(ValueError):
+            cli.write_rows([{"train_id": 0, "status": f"a{char}b"}], "csv", None)
+        assert capsys.readouterr().out == ""
+
+
+class TestImportCost:
+    def test_import_loads_neither_cli_nor_its_parsers(self):
+        # Every workload imports traincap, so nothing the CLI alone needs
+        # may ride along on that import.
+        code = ("import sys; before = set(sys.modules); import traincap; "
+                "print(sorted({'traincap.cli', 'csv', 'argparse'} & (set(sys.modules) - before)))")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestSharedParser:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import struct
 import sys
@@ -1184,24 +1185,26 @@ class TestExperiments:
         ("same-method", 4), ("sender-vs-reference", 4), ("receiver-vs-reference", 5), ("sweep", 16),
     ])
     def test_jitter_free_work_does_not_scale(self, monkeypatch, kind, expected):
-        # Count the trains the simulator's rates core runs; the tables
-        # never need the trace core.
-        calls = []
+        # Add up the trains the simulator's rates core runs, from the
+        # count each call is given; the tables never need the trace core.
+        counts = []
+        ends = simnet._simulate_ends
+        signature = inspect.signature(ends)
 
-        def counting(real):
-            def wrapper(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return wrapper
+        def counting(*args, **kwargs):
+            counts.append(signature.bind(*args, **kwargs).arguments["count"])
+            return ends(*args, **kwargs)
 
-        monkeypatch.setattr(simnet, "_simulate_ends", counting(simnet._simulate_ends))
-        monkeypatch.setattr(simnet, "_simulate", counting(simnet._simulate))
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table ran the trace core")
+
+        monkeypatch.setattr(simnet, "_simulate_ends", counting)
+        monkeypatch.setattr(simnet, "_simulate", refuse)
         seen = []
         for size in (2, 10):
-            calls.clear()
+            counts.clear()
             run_experiment(kind, n_trains=size, repeats=size)
-            seen.append(calls.count("_simulate_ends"))
-            assert "_simulate" not in calls
+            seen.append(sum(counts))
         assert seen == [expected, expected]
 
     def test_reports_reproducible(self):
